@@ -631,6 +631,23 @@ def _scalar(v):
     return str(v)
 
 
+def _attach_dash_values(argv, parsers):
+    """Join an option and a value that starts with '-' into one token, so
+    ``-P -x*dx`` parses as ``-P=-x*dx`` instead of as two options."""
+    valued = {opt for p in parsers for action in p._actions
+              if action.nargs is None for opt in action.option_strings}
+    out = []
+    pending = None  # a valued option still waiting for its value
+    for arg in argv:
+        if pending is not None and arg.startswith("-") and arg != "--":
+            out[-1] = f"{pending}={arg}"
+            pending = None
+            continue
+        out.append(arg)
+        pending = arg if pending is None and arg in valued else None
+    return out
+
+
 def run(argv) -> int:
     parser, subparsers = _build_parser()
     # apply --config before the real parse so flags still win
@@ -654,7 +671,8 @@ def run(argv) -> int:
             for p in subparsers:
                 p.set_defaults(**converted)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(argv,
+                                                     [parser, *subparsers]))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     t0 = time.perf_counter()

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from . import linalg
 from .groebner import (FreeModuleVector, GroebnerBasis, buchberger,
@@ -51,21 +52,16 @@ def quasi_weights(f: Polynomial):
         return None
     den = 1
     for c in v:
-        den = den * c.denominator // _gcd(den, c.denominator)
+        den = den * c.denominator // gcd(den, c.denominator)
     ints = [int(c * den) for c in v]
     g = 0
     for c in ints:
-        g = _gcd(g, c)
+        g = gcd(g, c)
     ints = [c // g for c in ints]
     w = [1] * n
     for i, wi in zip(present, ints):
         w[i] = wi
     return tuple(w)
-
-
-def _gcd(a, b):
-    from math import gcd
-    return gcd(a, b)
 
 
 @dataclass

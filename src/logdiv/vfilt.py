@@ -13,8 +13,8 @@ finite-dimensional exact linear algebra problem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 
 from . import linalg
 from .groebner import ideal_gb, local_membership_at_origin
@@ -121,13 +121,14 @@ class OperatorCoordinates:
         return len(self.cols)
 
     def op_to_vec(self, op: WeylOperator):
-        vec = [Fraction(0)] * len(self.cols)
+        """Coordinate vector; integral coefficients are stored as ints."""
+        vec = [0] * len(self.cols)
         for beta, p in op.terms.items():
             for mono, c in p.terms.items():
                 pos = self.index.get((beta, mono))
                 if pos is None:
                     raise ValueError("operator does not fit the (d, w) box")
-                vec[pos] = c
+                vec[pos] = c.numerator if c.denominator == 1 else c
         return vec
 
     def vec_to_op(self, vec) -> WeylOperator:
@@ -183,7 +184,13 @@ def _require_homogeneous(f):
 
 def _condition_kernel(f, coords, levels):
     """Kernel of the stacked conditions P(x^alpha f^l) in f^p * O over the
-    coordinate columns; ``levels`` lists (alpha, l, p)."""
+    coordinate columns; ``levels`` lists (alpha, l, p).
+
+    A level contributes one row per target monomial: the images of the
+    coordinate columns reduced against the rref of the f^p multiples.  The
+    reduction runs in integers.  Each level block is scaled as a whole by
+    the common denominator of that rref and of the images; scaling rows
+    leaves the kernel alone."""
     n = f.nvars
     e = f.degree()
     powers = {0: Polynomial.one(n)}
@@ -195,14 +202,21 @@ def _condition_kernel(f, coords, levels):
 
     rows = []
     for alpha, l, p in levels:
+        target_deg = mono_deg(alpha) + l * e + coords.w
+        if target_deg < 0:
+            continue
         g = Polynomial.monomial(n, alpha) * fpow(l)
         dvals = {}
         for beta, _ in coords.cols:
             if beta not in dvals:
-                dvals[beta] = g.partial(beta)
-        target_deg = mono_deg(alpha) + l * e + coords.w
-        if target_deg < 0:
-            continue
+                dvals[beta] = g.partial(beta).terms
+        scale = 1
+        for terms in dvals.values():
+            for c in terms.values():
+                scale = lcm(scale, c.denominator)
+        dvals = {beta: [(dm, c.numerator * (scale // c.denominator))
+                        for dm, c in terms.items()]
+                 for beta, terms in dvals.items()}
         tmonos = monomials_of_degree(n, target_deg)
         tindex = {m: i for i, m in enumerate(tmonos)}
         # subspace f^p * (monomials of degree target_deg - p*e)
@@ -215,21 +229,30 @@ def _condition_kernel(f, coords, levels):
                 for fm, c in fp.terms.items():
                     vec[tindex[tuple(x + y for x, y in zip(fm, m))]] = c
                 sub.append(vec)
-        if sub:
-            sred, spiv = linalg.rref(sub, len(tmonos))
-        else:
-            sred, spiv = [], []
+        sred, spiv = linalg.rref(sub, len(tmonos)) if sub else ([], [])
+        # At a pivot column the reduction coefficient is the image's own
+        # entry there, so the integer rows den * sred do the whole job.
+        den = 1
+        for row in sred:
+            for c in row:
+                den = lcm(den, c.denominator)
+        pivot_of = {col: i for i, col in enumerate(spiv)}
+        reducers = [[(pos, c.numerator * (den // c.denominator))
+                     for pos, c in enumerate(row)
+                     if c and pos not in pivot_of] for row in sred]
         residuals = []
         for beta, mono in coords.cols:
-            dv = dvals[beta]
-            vec = [Fraction(0)] * len(tmonos)
-            for dm, c in dv.terms.items():
-                vec[tindex[tuple(x + y for x, y in zip(dm, mono))]] = c
-            residuals.append(linalg.residual(vec, sred, spiv))
-        for pos in range(len(tmonos)):
-            row = [res[pos] for res in residuals]
-            if any(row):
-                rows.append(row)
+            res = [0] * len(tmonos)
+            for dm, c in dvals[beta]:
+                q = tindex[tuple(x + y for x, y in zip(dm, mono))]
+                i = pivot_of.get(q)
+                if i is None:
+                    res[q] += den * c
+                else:
+                    for pos, s in reducers[i]:
+                        res[pos] -= c * s
+            residuals.append(res)
+        rows.extend(row for row in zip(*residuals) if any(row))
     return linalg.kernel_basis(rows, len(coords))
 
 

@@ -88,6 +88,17 @@ def test_v0_basis_compare_reports_gap():
     assert v_member(parse_polynomial(arr["f"], 3), witness, 0)
 
 
+def test_option_values_starting_with_minus():
+    data = invoke_json(["v0-member", "-f", "x*y", "-P", "-x*dx"])
+    assert data["input"]["P"] == "-x*dx"
+    assert data["member"] is True
+    data = invoke_json(["v0-basis", "-f", "-x*y", "-d", "1", "-w", "0"])
+    assert data["input"]["f"] == "-x*y"
+    assert data == invoke_json(["v0-basis", "-f=-x*y", "-d", "1", "-w", "0"])
+    code, _, err = invoke(["v0-member", "-f", "x*y", "-P"])
+    assert code == 2 and "expected one argument" in err
+
+
 def test_vk_basis_command():
     data = invoke_json(["vk-basis", "-f", "x*y", "-k", "1", "-d", "1",
                         "-w", "-1"])
