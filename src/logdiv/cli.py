@@ -222,33 +222,29 @@ def cmd_symalg(args):
 # the certification pipeline
 # ---------------------------------------------------------------------------
 
-def _split_complement(f, chi):
-    """Generators A with O*chi + <A> = Der(log f) direct, or None."""
+def _split_complement(dm, chi):
+    """Der(log f) on minimal generators A with O*chi + <A> = Der(log f)
+    direct, or None."""
     from .groebner import FreeModuleVector, buchberger, gb_equal
-    dm = logder_mod.log_derivations(f)
     try:
-        dm = dm.minimalized()
+        idx = dm.minimal_indices()
     except ValueError:
         return None
     chi_vec = FreeModuleVector(chi.first_order_part())
-    gens = dm.generators
-    full = buchberger(gens)
-    for drop in range(len(gens)):
-        cand = [g for i, g in enumerate(gens) if i != drop]
+    full = dm.gb()
+    for drop in range(len(idx)):
+        keep = idx[:drop] + idx[drop + 1:]
+        cand = [dm.generators[i] for i in keep]
         if not cand:
             continue
         if not gb_equal(buchberger([chi_vec] + cand), full):
             continue
         if logder_mod.split_check(dm, chi, a_generators=cand):
-            return cand
+            return dm.subset(keep)
     return None
 
 
-def _route_report(f, name, a_gens, dimZ, symk_bound):
-    from .groebner import syzygies
-    from .logder import DerivationModule, _cofactor
-    cofs = [_cofactor(v, f) for v in a_gens]
-    dm = DerivationModule(f, list(a_gens), cofs, syzygies(list(a_gens)))
+def _route_report(name, dm, dimZ, symk_bound):
     cert = symalg_mod.grade_criterion(dm, dimZ)
     sp = symalg_mod.sym_presentation(dm)
     witnesses = []
@@ -258,7 +254,7 @@ def _route_report(f, name, a_gens, dimZ, symk_bound):
             witnesses.append({"k": k, "variable": i, "element": _vec(v)})
     route = {
         "route": name,
-        "module_rank": len(a_gens),
+        "module_rank": len(dm.generators),
         "resolution_shape": "ok" if cert.applicable else "na",
         "resolution_note": cert.reason,
         "grade": None if cert.grade is None else
@@ -278,7 +274,8 @@ def criterion_certificate(f, dimZ, symk_bound=2, route="both"):
     resolution, grade bound, and degreewise torsion evidence."""
     chi = logder_mod.euler_field(f)
     homogeneous = f.is_homogeneous()
-    freeness = logder_mod.saito_freeness_test(logder_mod.log_derivations(f))
+    dm = logder_mod.log_derivations(f)
+    freeness = logder_mod.saito_freeness_test(dm)
     cert = {
         "input": {"f": _poly_str(f), "dimZ": dimZ, "symk_bound": symk_bound,
                   "route": route},
@@ -295,15 +292,13 @@ def criterion_certificate(f, dimZ, symk_bound=2, route="both"):
     routes = []
     if chi is not None:
         if route in ("both", "ann"):
-            ann = logder_mod.ann_theta(f)
-            routes.append(_route_report(f, "ann", ann.generators, dimZ,
+            routes.append(_route_report("ann", logder_mod.ann_theta(f), dimZ,
                                         symk_bound))
         if route in ("both", "split"):
-            comp = _split_complement(f, chi)
+            comp = _split_complement(dm, chi)
             cert["hypotheses"]["split"] = comp is not None
             if comp is not None:
-                routes.append(_route_report(f, "split", comp, dimZ,
-                                            symk_bound))
+                routes.append(_route_report("split", comp, dimZ, symk_bound))
     cert["routes"] = routes
     refuted = [r for r in routes if r["torsion_witnesses"]]
     certified = [r for r in routes

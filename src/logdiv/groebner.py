@@ -2,22 +2,41 @@
 polynomial ring, with syzygies, lifting, ideal quotient, saturation,
 elimination and codimension.
 
-The public API works with Fraction-coefficient vectors; internally every
-computation runs on primitive integer term maps, with content stripped as
-reductions proceed.  Reduced Groebner bases are unique for a fixed order,
-so all results are deterministic across runs.
+The public API works with Fraction-coefficient vectors.  Inside, a vector
+is a map from packed terms to integer coefficients, with content stripped
+as reductions proceed (packed exponents after Monagan and Pearce, 2007):
+
+* A term (component, monomial) is one int.  Its low bits hold a slot per
+  variable and then the component.  The top bit of each variable slot is
+  a guard bit kept clear, so one monomial divides another iff their
+  difference sets no guard bit.
+* Above those bits sits the term's sort key.  Every order in ``poly`` is
+  linear in the exponent vector, so its key tuple packs into one int with
+  key(t*u) = key(t) + key(u).  The packing is derived from ``order.key`` on
+  unit monomials, once per (order, ring dimension, rank, slot width).
+  Multiplying a term by a monomial is one int add that moves the key and
+  the exponents together, and terms compare as ints.
+* A product that sets a guard bit raises ``_Overflow``, and the
+  computation restarts from its inputs with slots of twice the width.
+
+Fractions appear only at the API boundary.  Reduced Groebner bases are
+unique for a fixed order, so all results are deterministic across runs.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import gcd, inf
+from math import gcd, inf, lcm
+from operator import mul
 
-from .poly import (DEGREVLEX, BlockElim, ModuleOrder, Polynomial, SyzElimOrder,
-                   TopOrder, mono_deg, mono_div, mono_divides, mono_lcm,
-                   mono_mul)
+from .poly import DEGREVLEX, BlockElim, ModuleOrder, Polynomial, SyzElimOrder, TopOrder
+
+SLOT_BITS = 8
+"""Initial width of an exponent slot, guard bit included (exponents up to
+127); a computation whose exponents outgrow it restarts twice as wide."""
 
 
 class FreeModuleVector:
@@ -76,15 +95,24 @@ class FreeModuleVector:
 class GroebnerBasis:
     """Reduced Groebner basis of a submodule of O^rank (rank 1: an ideal)."""
 
-    __slots__ = ("generators", "order", "rank", "nvars", "reduced", "_ivecs")
+    __slots__ = ("_generators", "order", "rank", "nvars", "reduced", "_packed")
 
     def __init__(self, generators, order, rank, nvars, reduced=True):
-        self.generators = list(generators)
+        # None: decoded from the packed reducers on first use
+        self._generators = None if generators is None else list(generators)
         self.order = order
         self.rank = rank
         self.nvars = nvars
         self.reduced = reduced
-        self._ivecs = None
+        self._packed = None
+
+    @property
+    def generators(self):
+        if self._generators is None:
+            eng, reducers, _ = self._packed
+            self._generators = [eng.decode([(r[0], r[2]), *r[3]], r[2])
+                                for r in reducers]
+        return self._generators
 
     def __len__(self):
         return len(self.generators)
@@ -100,10 +128,14 @@ class GroebnerBasis:
         return any(v.components[0].is_constant() and not v.components[0].is_zero()
                    for v in self.generators)
 
-    def ivecs(self):
-        if self._ivecs is None:
-            self._ivecs = [_fmv_to_ivec(v) for v in self.generators]
-        return self._ivecs
+    def _reducers(self, slot):
+        """(engine, reducers, reducers by component) for the generators,
+        with slots at least ``slot`` wide; built once and kept."""
+        if self._packed is None or self._packed[0].slot < slot:
+            eng = _engine(self.order, self.nvars, self.rank, slot)
+            reducers = [eng.reducer(eng.ivec(v)) for v in self.generators]
+            self._packed = (eng, reducers, eng.index(reducers))
+        return self._packed
 
     def __repr__(self):
         return (f"GroebnerBasis({len(self.generators)} generators, "
@@ -111,27 +143,11 @@ class GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# integer term-map plumbing
+# packed engine
 # ---------------------------------------------------------------------------
 
-def _fmv_to_ivec(v: FreeModuleVector):
-    den = 1
-    for p in v.components:
-        for c in p.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-    vec = {}
-    for comp, p in enumerate(v.components):
-        for m, c in p.terms.items():
-            vec[(comp, m)] = int(c * den)
-    return _strip(vec)
-
-
-def _ivec_to_fmv(vec, rank, nvars, divisor=1):
-    polys = [dict() for _ in range(rank)]
-    for (comp, m), c in vec.items():
-        polys[comp][m] = Fraction(c, divisor)
-    return FreeModuleVector(tuple(
-        Polynomial(nvars, t, _clean=True) for t in polys))
+class _Overflow(Exception):
+    """An exponent outgrew its slot."""
 
 
 def _strip(vec):
@@ -146,62 +162,129 @@ def _strip(vec):
     return vec
 
 
+def _widening(run):
+    """``run(slot)``, retried with doubled slots until nothing overflows."""
+    slot = SLOT_BITS
+    while True:
+        try:
+            return run(slot)
+        except _Overflow:
+            slot *= 2
+
+
 class _Engine:
-    """Shared machinery for normal forms and Buchberger over one order."""
+    """Packed terms, normal forms and Buchberger for one module order, ring
+    dimension, rank and slot width.  A reducer is (lead term, lead
+    monomial bits, lead coefficient, tail as (term, coefficient) pairs)."""
 
-    def __init__(self, order: ModuleOrder):
-        self._kcache = {}
-        self._okey = order.key
-        self.order = order
+    def __init__(self, order: ModuleOrder, nvars, rank, slot):
+        self.order, self.nvars, self.rank, self.slot = order, nvars, rank, slot
+        self.emax = (1 << (slot - 1)) - 1
+        self.cshift = nvars * slot
+        mbits = self.cshift + rank.bit_length()
+        self.mmask = (1 << mbits) - 1
+        self.vmask = (1 << self.cshift) - 1     # the variable slots
+        self.guard = sum(1 << (k * slot + slot - 1) for k in range(nvars))
+        # guard bits plus the component field: zero iff divisible, same component
+        self.dmask = self.guard | (self.mmask ^ self.vmask)
+        zero = (0,) * nvars
+        base = [order.key((c, zero)) for c in range(rank)]
+        units = []
+        for k in range(nvars):
+            e = tuple(int(i == k) for i in range(nvars))
+            steps = {tuple(a - b for a, b in zip(order.key((c, e)), base[c]))
+                     for c in range(rank)}
+            if len(steps) != 1:
+                raise ValueError(f"{order.name} is not linear in the exponents")
+            units.append(steps.pop())
+        # every key digit of a term whose exponents fit stays below 2^(width-1)
+        bound = max(max(abs(b[j]) for b in base) +
+                    self.emax * sum(abs(u[j]) for u in units)
+                    for j in range(len(base[0])))
+        width = bound.bit_length() + 1
 
-    def key(self, term):
-        k = self._kcache.get(term)
-        if k is None:
-            k = self._okey(term)
-            self._kcache[term] = k
-        return k
+        def pack(digits):
+            v = 0
+            for d in digits:
+                v = (v << width) + d
+            return v << mbits
 
-    def lead(self, vec):
-        key = self.key
-        return max(vec, key=key)
+        self.cterm = [pack(b) + (c << self.cshift) for c, b in enumerate(base)]
+        self.vterm = [pack(u) + (1 << (k * slot)) for k, u in enumerate(units)]
 
-    def make_reducer(self, vec):
-        lt = self.lead(vec)
-        tail = [(t, c) for t, c in vec.items() if t != lt]
-        return (lt, vec[lt], tail)
+    # -- conversion at the API boundary -------------------------------------
 
-    def index_by_comp(self, reducers):
+    def term(self, comp, mono):
+        if mono and max(mono) > self.emax:
+            raise _Overflow
+        return self.cterm[comp] + sum(map(mul, mono, self.vterm))
+
+    def exps(self, t):
+        m = t & self.vmask
+        if self.slot == 8:   # the default width: one byte per exponent
+            return tuple(m.to_bytes(self.nvars, "little"))
+        return tuple((m >> (k * self.slot)) & self.emax
+                     for k in range(self.nvars))
+
+    def encode(self, v: FreeModuleVector):
+        """(vec, den) with vec the integer vector of den * v."""
+        den = 1
+        for p in v.components:
+            for c in p.terms.values():
+                den = lcm(den, c.denominator)
+        vec = {}
+        for comp, p in enumerate(v.components):
+            for m, c in p.terms.items():
+                vec[self.term(comp, m)] = c.numerator * (den // c.denominator)
+        return vec, den
+
+    def ivec(self, v: FreeModuleVector):
+        return _strip(self.encode(v)[0])
+
+    def decode(self, items, divisor=1) -> FreeModuleVector:
+        polys = [{} for _ in range(self.rank)]
+        for t, c in items:
+            polys[(t & self.mmask) >> self.cshift][self.exps(t)] = Fraction(c, divisor)
+        zero = Polynomial.zero(self.nvars)
+        return FreeModuleVector([Polynomial(self.nvars, p, _clean=False)
+                                 if p else zero for p in polys])
+
+    # -- reduction ------------------------------------------------------------
+
+    def reducer(self, vec):
+        lt = max(vec)
+        return (lt, lt & self.mmask, vec[lt],
+                [(t, c) for t, c in vec.items() if t != lt])
+
+    def index(self, reducers):
         by_comp = {}
-        for i, (lt, _, _) in enumerate(reducers):
-            by_comp.setdefault(lt[0], []).append(i)
+        for r in reducers:
+            by_comp.setdefault(r[1] >> self.cshift, []).append(r)
         return by_comp
 
-    def normal_form(self, vec, reducers, by_comp, primitive=True):
+    def normal_form(self, vec, by_comp, primitive=True):
         """Full normal form.  Returns (out, scale) with
         scale * vec == out (mod the submodule); if ``primitive`` the result
         is content-stripped and scale is returned as None."""
-        key = self.key
+        mmask, guard, cshift = self.mmask, self.guard, self.cshift
         cur = dict(vec)
         out = {}
         scale = 1
-        heap = [(_neg(key(t)), t) for t in cur]
+        heap = [-t for t in cur]
         heapify(heap)
+        pop, push, get, candidates = heappop, heappush, cur.get, by_comp.get
         while heap:
-            _, t = heappop(heap)
+            t = -pop(heap)
             c = cur.pop(t, 0)
             if not c:
                 continue
-            comp, mono = t
-            hit = None
-            for idx in by_comp.get(comp, ()):
-                lt, lc, tail = reducers[idx]
-                if mono_divides(lt[1], mono):
-                    hit = (lt, lc, tail)
+            m = t & mmask
+            for lt, lm, lc, tail in candidates(m >> cshift, ()):
+                if not (m - lm) & guard:
                     break
-            if hit is None:
+            else:
                 out[t] = c
                 continue
-            lt, lc, tail = hit
             g = gcd(c, lc)
             a, b = lc // g, c // g
             if a < 0:
@@ -212,15 +295,15 @@ class _Engine:
                 for t2 in out:
                     out[t2] *= a
                 scale *= a
-            shift = mono_div(mono, lt[1])
-            for (tc, tm), cc in tail:
-                t2 = (tc, mono_mul(tm, shift))
-                prev = cur.get(t2)
+            shift = t - lt
+            for t2, cc in tail:
+                t2 += shift
+                prev = get(t2)
                 if prev is None:
-                    val = -b * cc
-                    if val:
-                        cur[t2] = val
-                        heappush(heap, (_neg(key(t2)), t2))
+                    if t2 & guard:
+                        raise _Overflow
+                    cur[t2] = -b * cc
+                    push(heap, -t2)
                 else:
                     val = prev - b * cc
                     if val:
@@ -231,130 +314,117 @@ class _Engine:
             return _strip(out), None
         return out, scale
 
+    def lcm(self, ti, tj):
+        """Term of lcm(ti, tj) for terms in one component, and its degree."""
+        ei, ej = self.exps(ti), self.exps(tj)
+        for k, (x, y) in enumerate(zip(ei, ej)):
+            if y > x:
+                ti += (y - x) * self.vterm[k]
+        return ti, sum(map(max, ei, ej))
+
+    def s_vector(self, ri, rj, tl):
+        """S-vector of two reducers whose leads have lcm term ``tl``."""
+        g = gcd(ri[2], rj[2])
+        s = {}
+        for r, f in ((ri, rj[2] // g), (rj, -(ri[2] // g))):
+            shift = tl - r[0]
+            for t, c in r[3]:
+                t += shift
+                if t & self.guard:
+                    raise _Overflow
+                val = s.get(t, 0) + f * c
+                if val:
+                    s[t] = val
+                else:
+                    del s[t]
+        return s
+
     # -- Buchberger ---------------------------------------------------------
 
-    def buchberger(self, ivecs, rank):
-        basis = []      # list of dict
-        leads = []      # list of (term, coeff)
-        tails = []
-        reducers = []   # (lead term, lead coeff, tail), parallel to basis
+    def buchberger(self, vecs):
+        """Reduced basis as reducers sorted by lead."""
+        reducers = []   # in order found
+        exps = []       # exponents of each lead
+        members = {}    # component -> positions in reducers
         by_comp = {}
-
-        def push_elem(vec):
-            lt = self.lead(vec)
-            tail = [(t, c) for t, c in vec.items() if t != lt]
-            basis.append(vec)
-            leads.append((lt, vec[lt]))
-            tails.append(tail)
-            by_comp.setdefault(lt[0], []).append(len(reducers))
-            reducers.append((lt, vec[lt], tail))
-
-        for vec in ivecs:
-            if vec:
-                push_elem(dict(vec))
-
         pairs = []
-        for j in range(len(basis)):
-            for i in range(j):
-                self._maybe_pair(pairs, leads, i, j)
-        heapify(pairs)
+        ideal = self.rank == 1
 
+        def add(vec):
+            r = self.reducer(vec)
+            new = len(reducers)
+            reducers.append(r)
+            exps.append(self.exps(r[0]))
+            comp = r[1] >> self.cshift
+            same = members.setdefault(comp, [])
+            for k in same:
+                tl, deg = self.lcm(reducers[k][0], r[0])
+                heappush(pairs, (deg, tl, k, new))
+            same.append(new)
+            by_comp.setdefault(comp, []).append(r)
+
+        for vec in vecs:
+            if vec:
+                add(dict(vec))
         while pairs:
-            _, _, i, j = heappop(pairs)
-            lt_i, lc_i = leads[i]
-            lt_j, lc_j = leads[j]
-            lcm = mono_lcm(lt_i[1], lt_j[1])
-            if rank == 1 and lcm == mono_mul(lt_i[1], lt_j[1]):
+            _, tl, i, j = heappop(pairs)
+            ri, rj = reducers[i], reducers[j]
+            if ideal and tl == ri[0] + rj[0] - self.cterm[0]:
                 continue  # product criterion (ideals only)
-            if self._chain_skip(leads, i, j, lt_i[0], lcm):
+            if self._chain_skip(reducers, exps, members[ri[1] >> self.cshift],
+                                i, j, tl):
                 continue
-            g = gcd(lc_i, lc_j)
-            a, b = lc_j // g, lc_i // g
-            ui = mono_div(lcm, lt_i[1])
-            uj = mono_div(lcm, lt_j[1])
-            s = {}
-            for (tc, tm), cc in basis[i].items():
-                s[(tc, mono_mul(tm, ui))] = a * cc
-            for (tc, tm), cc in basis[j].items():
-                t2 = (tc, mono_mul(tm, uj))
-                val = s.get(t2, 0) - b * cc
-                if val:
-                    s[t2] = val
-                else:
-                    s.pop(t2, None)
-            if not s:
-                continue
-            nf, _ = self.normal_form(s, reducers, by_comp)
-            if nf:
-                new = len(basis)
-                push_elem(nf)
-                for k in range(new):
-                    self._maybe_pair(pairs, leads, k, new, heap=True)
+            s = self.s_vector(ri, rj, tl)
+            if s:
+                nf, _ = self.normal_form(s, by_comp)
+                if nf:
+                    add(nf)
+        return self._reduce(reducers)
 
-        return self._reduce_basis(basis, leads, tails, rank)
-
-    def _maybe_pair(self, pairs, leads, i, j, heap=False):
-        lt_i, lt_j = leads[i][0], leads[j][0]
-        if lt_i[0] != lt_j[0]:
-            return
-        lcm = mono_lcm(lt_i[1], lt_j[1])
-        entry = (mono_deg(lcm), self.key((lt_i[0], lcm)), i, j)
-        if heap:
-            heappush(pairs, entry)
-        else:
-            pairs.append(entry)
-
-    def _chain_skip(self, leads, i, j, comp, lcm):
+    def _chain_skip(self, reducers, exps, same, i, j, tl):
         # Buchberger's second criterion, strict-divisor form: sound without
         # pair bookkeeping because both sub-lcms properly divide lcm(i,j).
-        for k, (lt, _) in enumerate(leads):
-            if k == i or k == j or lt[0] != comp:
+        lm = tl & self.mmask
+        el = None
+        for k in same:
+            if k == i or k == j or (lm - reducers[k][1]) & self.guard:
                 continue
-            if not mono_divides(lt[1], lcm):
-                continue
-            if mono_lcm(lt[1], leads[i][0][1]) == lcm:
-                continue
-            if mono_lcm(lt[1], leads[j][0][1]) == lcm:
+            if el is None:
+                el = self.exps(tl)
+            if (tuple(map(max, exps[k], exps[i])) == el or
+                    tuple(map(max, exps[k], exps[j])) == el):
                 continue
             return True
         return False
 
-    def _reduce_basis(self, basis, leads, tails, rank):
-        key = self.key
-        order_idx = sorted(range(len(basis)), key=lambda i: key(leads[i][0]))
+    def _reduce(self, reducers):
         kept = []
-        for i in order_idx:
-            lt = leads[i][0]
-            if any(leads[k][0][0] == lt[0] and
-                   mono_divides(leads[k][0][1], lt[1]) for k in kept):
-                continue
-            kept.append(i)
-        # tail-reduce each survivor against the others
-        final = []
-        for pos, i in enumerate(kept):
-            others = [(leads[k][0], leads[k][1], tails[k])
-                      for k in kept if k != i]
-            by_comp = self.index_by_comp(others)
-            nf, _ = self.normal_form(basis[i], others, by_comp)
-            final.append(nf)
-            # refresh tail so later reductions see the reduced form
-            lt = leads[i][0]
-            tails[i] = [(t, c) for t, c in nf.items() if t != lt]
-            leads[i] = (lt, nf[lt])
-            basis[i] = nf
-        return final
+        for r in sorted(reducers, key=lambda r: r[0]):
+            if not any(not (r[1] - k[1]) & self.dmask for k in kept):
+                kept.append(r)
+        # tail-reduce each survivor against all of them, the ones before it
+        # already reduced; no lead divides a term below itself
+        by_comp = self.index(kept)
+        for pos, r in enumerate(kept):
+            tail, scale = self.normal_form(dict(r[3]), by_comp, primitive=False)
+            kept[pos] = self.reducer(_strip({r[0]: r[2] * scale, **tail}))
+            same = by_comp[r[1] >> self.cshift]
+            same[same.index(r)] = kept[pos]
+        return kept
 
 
-def _neg(key):
-    return tuple(-x for x in key)
+_engine = lru_cache(maxsize=64)(_Engine)
 
 
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
+_DEFAULT_ORDER = TopOrder(DEGREVLEX)
+
+
 def default_module_order():
-    return TopOrder(DEGREVLEX)
+    return _DEFAULT_ORDER
 
 
 def _prep(gens):
@@ -373,25 +443,16 @@ def buchberger(gens, order: ModuleOrder | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule generated by ``gens``."""
     gens, rank, nvars = _prep(gens)
     order = order or default_module_order()
-    eng = _Engine(order)
-    ivecs = [_fmv_to_ivec(v) for v in gens if not v.is_zero()]
-    final = eng.buchberger(ivecs, rank)
-    out = []
-    for vec in final:
-        lt = eng.lead(vec)
-        out.append(_ivec_to_fmv(vec, rank, nvars, divisor=vec[lt]))
-    out.sort(key=lambda v: eng.key(_lead_term(v, eng)))
-    return GroebnerBasis(out, order, rank, nvars, reduced=True)
+    gens = [v for v in gens if not v.is_zero()]
 
+    def run(slot):
+        eng = _engine(order, nvars, rank, slot)
+        return eng, eng.buchberger([eng.ivec(v) for v in gens])
 
-def _lead_term(v: FreeModuleVector, eng: _Engine):
-    best = None
-    for comp, p in enumerate(v.components):
-        for m in p.terms:
-            t = (comp, m)
-            if best is None or eng.key(t) > eng.key(best):
-                best = t
-    return best
+    eng, reducers = _widening(run)
+    gb = GroebnerBasis(None, order, rank, nvars, reduced=True)
+    gb._packed = (eng, reducers, eng.index(reducers))
+    return gb
 
 
 def vector_lead_term(v: FreeModuleVector, order: ModuleOrder | None = None):
@@ -399,9 +460,10 @@ def vector_lead_term(v: FreeModuleVector, order: ModuleOrder | None = None):
     and coefficient."""
     if v.is_zero():
         raise ValueError("the zero vector has no leading term")
-    eng = _Engine(order or default_module_order())
-    t = _lead_term(v, eng)
-    return t, eng.key(t), v.components[t[0]].terms[t[1]]
+    key = (order or default_module_order()).key
+    k, t = max((key((c, m)), (c, m))
+               for c, p in enumerate(v.components) for m in p.terms)
+    return t, k, v.components[t[0]].terms[t[1]]
 
 
 def normal_form(v: FreeModuleVector, gb: GroebnerBasis) -> FreeModuleVector:
@@ -411,19 +473,14 @@ def normal_form(v: FreeModuleVector, gb: GroebnerBasis) -> FreeModuleVector:
         raise ValueError("rank mismatch between vector and basis")
     if v.is_zero():
         return v
-    eng = _Engine(gb.order)
-    den = 1
-    for p in v.components:
-        for c in p.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-    vec = {}
-    for comp, p in enumerate(v.components):
-        for m, c in p.terms.items():
-            vec[(comp, m)] = int(c * den)
-    reducers = [eng.make_reducer(iv) for iv in gb.ivecs()]
-    by_comp = eng.index_by_comp(reducers)
-    out, scale = eng.normal_form(vec, reducers, by_comp, primitive=False)
-    return _ivec_to_fmv(out, gb.rank, gb.nvars, divisor=scale * den)
+
+    def run(slot):
+        eng, _, by_comp = gb._reducers(slot)
+        vec, den = eng.encode(v)
+        out, scale = eng.normal_form(vec, by_comp, primitive=False)
+        return eng.decode(out.items(), scale * den)
+
+    return _widening(run)
 
 
 def in_submodule(v: FreeModuleVector, gb: GroebnerBasis) -> bool:
@@ -435,33 +492,20 @@ def is_groebner_basis(gens, order: ModuleOrder | None = None) -> bool:
     generators themselves (no pair-skipping criteria are applied)."""
     gens, rank, nvars = _prep(gens)
     order = order or default_module_order()
-    eng = _Engine(order)
-    ivecs = [_fmv_to_ivec(v) for v in gens if not v.is_zero()]
-    reducers = [eng.make_reducer(vec) for vec in ivecs]
-    by_comp = eng.index_by_comp(reducers)
-    for i, j in itertools.combinations(range(len(ivecs)), 2):
-        (ci, mi), lci = reducers[i][0], reducers[i][1]
-        (cj, mj), lcj = reducers[j][0], reducers[j][1]
-        if ci != cj:
-            continue
-        lcm = mono_lcm(mi, mj)
-        g = gcd(lci, lcj)
-        a, b = lcj // g, lci // g
-        ui, uj = mono_div(lcm, mi), mono_div(lcm, mj)
-        s = {}
-        for (tc, tm), cc in ivecs[i].items():
-            s[(tc, mono_mul(tm, ui))] = a * cc
-        for (tc, tm), cc in ivecs[j].items():
-            t2 = (tc, mono_mul(tm, uj))
-            val = s.get(t2, 0) - b * cc
-            if val:
-                s[t2] = val
-            else:
-                s.pop(t2, None)
-        nf, _ = eng.normal_form(s, reducers, by_comp)
-        if nf:
-            return False
-    return True
+
+    def run(slot):
+        eng = _engine(order, nvars, rank, slot)
+        reducers = [eng.reducer(eng.ivec(v)) for v in gens if not v.is_zero()]
+        by_comp = eng.index(reducers)
+        for ri, rj in itertools.combinations(reducers, 2):
+            if (ri[1] ^ rj[1]) >> eng.cshift:
+                continue  # different components
+            s = eng.s_vector(ri, rj, eng.lcm(ri[0], rj[0])[0])
+            if eng.normal_form(s, by_comp)[0]:
+                return False
+        return True
+
+    return _widening(run)
 
 
 # ---------------------------------------------------------------------------
@@ -482,17 +526,20 @@ def _tagged(gens, rank, nvars):
     return out
 
 
+_syz_order = lru_cache(maxsize=64)(SyzElimOrder)
+
+
 def syzygies(gens, ring_order=DEGREVLEX):
     """Generators of the first syzygy module {(a_1..a_m) : sum a_i g_i = 0}."""
     gens, rank, nvars = _prep(gens)
-    m = len(gens)
-    order = SyzElimOrder(rank, ring_order)
+    order = _syz_order(rank, ring_order)
     gb = buchberger(_tagged(gens, rank, nvars), order)
-    out = []
-    for v in gb.generators:
-        if all(v.components[c].is_zero() for c in range(rank)):
-            out.append(FreeModuleVector(v.components[rank:rank + m]))
-    return out
+    # the order puts components below ``rank`` first, so an element lives
+    # on the tags alone iff its lead does; only those are decoded
+    eng, reducers, _ = gb._packed
+    return [FreeModuleVector(eng.decode([(r[0], r[2]), *r[3]], r[2])
+                             .components[rank:])
+            for r in reducers if r[1] >> eng.cshift >= rank]
 
 
 def module_lift(v: FreeModuleVector, gens):
@@ -502,7 +549,7 @@ def module_lift(v: FreeModuleVector, gens):
     if v.rank != rank:
         raise ValueError("rank mismatch")
     m = len(gens)
-    order = SyzElimOrder(rank, DEGREVLEX)
+    order = _syz_order(rank, DEGREVLEX)
     gb = buchberger(_tagged(gens, rank, nvars), order)
     zero = Polynomial.zero(nvars)
     padded = FreeModuleVector(list(v.components) + [zero] * m)
@@ -662,22 +709,24 @@ def vector_degree(v: FreeModuleVector, weights=None, shifts=None):
 def graded_min_generators(vectors, weights=None, shifts=None):
     """Minimal homogeneous generating subset, greedily by degree
     (graded Nakayama).  Returns (kept_vectors, degrees)."""
-    vectors = [v for v in vectors if not v.is_zero()]
-    if not vectors:
-        return [], []
-    eng = _Engine(default_module_order())
-    deco = []
-    for i, v in enumerate(vectors):
-        d = vector_degree(v, weights, shifts)
-        deco.append((d, eng.key(_lead_term(v, eng)), i, v))
-    deco.sort(key=lambda t: (t[0], t[1], t[2]))
+    vectors = list(vectors)
+    kept, degrees, _ = graded_min_indices(vectors, weights, shifts)
+    return [vectors[i] for i in kept], degrees
+
+
+def graded_min_indices(vectors, weights=None, shifts=None):
+    """Positions in ``vectors`` of the subset ``graded_min_generators``
+    keeps, its degrees, and the Groebner basis of the module it generates
+    (None for no vectors)."""
+    deco = sorted((vector_degree(v, weights, shifts), vector_lead_term(v)[1], i)
+                  for i, v in enumerate(vectors) if not v.is_zero())
     kept = []
     degrees = []
     gb = None
-    for d, _, _, v in deco:
-        if gb is not None and in_submodule(v, gb):
+    for d, _, i in deco:
+        if gb is not None and in_submodule(vectors[i], gb):
             continue
-        kept.append(v)
+        kept.append(i)
         degrees.append(d)
-        gb = buchberger(kept)
-    return kept, degrees
+        gb = buchberger([vectors[k] for k in kept])
+    return kept, degrees, gb

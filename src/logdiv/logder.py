@@ -10,7 +10,7 @@ from math import gcd
 
 from . import linalg
 from .groebner import (FreeModuleVector, GroebnerBasis, buchberger,
-                       graded_min_generators, ideal_lift, in_submodule,
+                       graded_min_indices, ideal_lift, in_submodule,
                        syzygies)
 from .poly import Polynomial, divide_exact
 from .weyl import WeylOperator, apply_op
@@ -77,6 +77,7 @@ class DerivationModule:
     cofactors: list
     first_syzygies: list
     _gb: GroebnerBasis | None = field(default=None, repr=False, compare=False)
+    _minimal: list | None = field(default=None, repr=False, compare=False)
 
     @property
     def nvars(self):
@@ -93,16 +94,30 @@ class DerivationModule:
     def contains(self, vec: FreeModuleVector) -> bool:
         return in_submodule(vec, self.gb())
 
-    def minimalized(self, weights=None) -> "DerivationModule":
+    def minimal_indices(self) -> list:
+        """Positions of a graded minimal generating subset of the
+        generators, for the divisor's weights (homogeneous data only)."""
+        if self._minimal is None:
+            w = quasi_weights(self.divisor)
+            if w is None:
+                raise ValueError("minimalization needs (quasi-)homogeneous data")
+            self._minimal, _, gb = graded_min_indices(
+                self.generators, weights=w, shifts=tuple(-wi for wi in w))
+            if self._gb is None:
+                self._gb = gb   # the kept generators span the module
+        return self._minimal
+
+    def minimalized(self) -> "DerivationModule":
         """Graded minimal generating set (homogeneous data only)."""
-        w = weights or quasi_weights(self.divisor)
-        if w is None:
-            raise ValueError("minimalization needs (quasi-)homogeneous data")
-        shifts = tuple(-wi for wi in w)
-        kept, _ = graded_min_generators(self.generators, weights=w,
-                                        shifts=shifts)
-        cofs = [_cofactor(v, self.divisor) for v in kept]
-        return DerivationModule(self.divisor, kept, cofs, syzygies(kept))
+        return self.subset(self.minimal_indices())
+
+    def subset(self, indices) -> "DerivationModule":
+        """The generators at ``indices``, with their cofactors and their own
+        first syzygies."""
+        kept = [self.generators[i] for i in indices]
+        return DerivationModule(self.divisor, kept,
+                                [self.cofactors[i] for i in indices],
+                                syzygies(kept))
 
 
 def _cofactor(v: FreeModuleVector, f: Polynomial) -> Polynomial:
@@ -181,12 +196,8 @@ def saito_freeness_test(dm: DerivationModule) -> FreenessVerdict:
     more than n graded minimal generators mean not free at 0."""
     f = dm.divisor
     n = f.nvars
-    w = quasi_weights(f)
-    if w is None:
-        return FreenessVerdict("inconclusive")
-    shifts = tuple(-wi for wi in w)
     try:
-        kept, _ = graded_min_generators(dm.generators, weights=w, shifts=shifts)
+        kept = [dm.generators[i] for i in dm.minimal_indices()]
     except ValueError:
         return FreenessVerdict("inconclusive")
     mu = len(kept)

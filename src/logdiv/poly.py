@@ -30,10 +30,6 @@ def mono_div(b: Mono, a: Mono) -> Mono:
     return tuple(x - y for x, y in zip(b, a))
 
 
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def mono_deg(a: Mono) -> int:
     return sum(a)
 
@@ -65,7 +61,8 @@ def monomials_of_degree(nvars: int, d: int):
 class TermOrder:
     """Total multiplicative order on monomials.
 
-    ``key`` maps a monomial to a flat tuple of ints; monomials compare the
+    ``key`` maps a monomial to a flat tuple of ints, linear in the
+    exponents (``groebner`` packs it into one int); monomials compare the
     way their keys compare.  Keys of one order instance are only ever
     compared with each other.
     """
@@ -245,9 +242,6 @@ class Polynomial:
 
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, Fraction(0))
-
-    def evaluate_at_origin(self) -> Fraction:
-        return self.constant_term()
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

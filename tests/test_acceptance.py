@@ -115,12 +115,14 @@ def test_criterion_5_d3_certification():
         dm = log_derivations(f).minimalized()
         # recover a complement of the Euler line automatically
         from logdiv.cli import _split_complement
-        a_gens = _split_complement(f, chi)
-        assert a_gens is not None
+        comp = _split_complement(log_derivations(f), chi)
+        assert comp is not None
+        a_gens = comp.generators
         assert split_check(dm, chi, a_generators=a_gens)
         from logdiv.logder import DerivationModule, _cofactor
-        dm_a = DerivationModule(f, a_gens, [_cofactor(v, f) for v in a_gens],
-                                syzygies(a_gens))
+        cofs = [_cofactor(v, f) for v in a_gens]
+        assert comp.cofactors == cofs     # taken by index, not re-divided
+        dm_a = DerivationModule(f, a_gens, cofs, syzygies(a_gens))
         cert = grade_criterion(dm_a, 0)
         assert cert.applicable          # rank-one resolution found
         assert cert.grade == 3 and cert.required == 3

@@ -45,9 +45,9 @@ def test_divide_by_zero():
         divmod_single(P("x", 1), Polynomial.zero(1))
 
 
-def test_evaluate_at_origin():
-    assert P("3+x", 1).evaluate_at_origin() == 3
-    assert Polynomial.zero(2).evaluate_at_origin() == 0
+def test_constant_term():
+    assert P("3+x", 1).constant_term() == 3
+    assert Polynomial.zero(2).constant_term() == 0
 
 
 def test_homogeneous_components():
