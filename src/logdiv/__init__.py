@@ -11,10 +11,9 @@ from .groebner import (FreeModuleVector, GroebnerBasis, buchberger, codim,
                        eliminate, ideal_gb, ideal_member, ideal_quotient,
                        in_submodule, is_groebner_basis,
                        local_membership_at_origin, module_lift, normal_form,
-                       saturation, syzygies)
+                       syzygies)
 from .logder import (DerivationModule, InvalidDivisor, ann_theta, euler_field,
-                     log_derivations, polynomiality_det, saito_freeness_test,
-                     split_check)
+                     log_derivations, saito_freeness_test, split_check)
 from .symalg import (GradeCertificate, ReesKernel, SymPresentation,
                      TorsionReport, depth_via_resolution, grade_criterion,
                      pi_injectivity_test, rees_kernel, sym_presentation,
@@ -24,5 +23,6 @@ from .vfilt import (GradedOperatorSpace, NonHomogeneousError,
                     v0_graded_basis, v_member, v_membership, vk_graded_basis)
 from .arrangements import (Arrangement, DnArrangement, example9_objects,
                            generic_dn, lemma19_check, prop17_check)
+from .criterion import criterion_certificate
 
 __version__ = "0.1.0"

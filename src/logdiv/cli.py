@@ -22,9 +22,10 @@ from . import arrangements as arr_mod
 from . import logder as logder_mod
 from . import symalg as symalg_mod
 from . import vfilt as vfilt_mod
-from .grammar import ParseError, parse_operator, parse_polynomial, _tokenize
+from .criterion import criterion_certificate, format_vector, run_golden_cases
+from .grammar import ParseError, infer_nvars, parse_operator, parse_polynomial
 from .logder import InvalidDivisor
-from .poly import Polynomial, format_polynomial
+from .poly import format_polynomial
 from .vfilt import NonHomogeneousError, VMembershipQuery
 from .weyl import format_operator
 
@@ -39,36 +40,12 @@ EXIT_UNSUPPORTED = 3
 # input helpers
 # ---------------------------------------------------------------------------
 
-_ALIAS_N = {"x": 1, "y": 2, "z": 3, "w": 4}
-
-
-def infer_nvars(*texts):
-    """Smallest ring dimension accommodating every variable mentioned."""
-    n = 1
-    for text in texts:
-        if not text:
-            continue
-        for kind, value, line, col in _tokenize(text):
-            if kind != "NAME":
-                continue
-            body = value[1:] if value.startswith("d") and len(value) > 1 else value
-            if body in _ALIAS_N:
-                n = max(n, _ALIAS_N[body])
-            elif body.startswith("x") and body[1:].isdigit():
-                n = max(n, int(body[1:]))
-    return n
-
-
 def _nvars_for(args, *texts):
-    return args.nvars if args.nvars else infer_nvars(*texts)
-
-
-def _poly_str(p: Polynomial) -> str:
-    return format_polynomial(p)
-
-
-def _vec(v) -> list:
-    return [_poly_str(p) for p in v.components]
+    if args.nvars is None:
+        return infer_nvars(*texts)
+    if args.nvars < 1:
+        raise ValueError("-n/--nvars must be at least 1")
+    return args.nvars
 
 
 # ---------------------------------------------------------------------------
@@ -83,10 +60,10 @@ def cmd_logder(args):
     verdict = logder_mod.saito_freeness_test(dm)
     return {
         "command": "logder",
-        "input": {"f": _poly_str(f), "nvars": n},
-        "generators": [_vec(v) for v in dm.generators],
-        "cofactors": [_poly_str(c) for c in dm.cofactors],
-        "syzygies": [_vec(s) for s in dm.first_syzygies],
+        "input": {"f": format_polynomial(f), "nvars": n},
+        "generators": [format_vector(v) for v in dm.generators],
+        "cofactors": [format_polynomial(c) for c in dm.cofactors],
+        "syzygies": [format_vector(s) for s in dm.first_syzygies],
         "freeness": verdict.status,
         "euler": format_operator(chi) if chi is not None else None,
     }
@@ -98,7 +75,7 @@ def cmd_euler(args):
     chi = logder_mod.euler_field(f)
     return {
         "command": "euler",
-        "input": {"f": _poly_str(f), "nvars": n},
+        "input": {"f": format_polynomial(f), "nvars": n},
         "euler": format_operator(chi) if chi is not None else None,
         "euler_homogeneous": chi is not None,
     }
@@ -111,13 +88,13 @@ def cmd_freeness(args):
     verdict = logder_mod.saito_freeness_test(dm)
     out = {
         "command": "freeness",
-        "input": {"f": _poly_str(f), "nvars": n},
+        "input": {"f": format_polynomial(f), "nvars": n},
         "verdict": verdict.status,
         "min_generators": verdict.min_generators,
     }
     if verdict.status == "free":
-        out["basis"] = [_vec(v) for v in verdict.basis]
-        out["determinant"] = _poly_str(verdict.determinant)
+        out["basis"] = [format_vector(v) for v in verdict.basis]
+        out["determinant"] = format_polynomial(verdict.determinant)
     return out
 
 
@@ -129,8 +106,8 @@ def cmd_v0_member(args):
     member = vfilt_mod.v_membership(query)
     return {
         "command": "v0-member",
-        "input": {"f": _poly_str(f), "P": format_operator(P), "k": args.k,
-                  "nvars": n},
+        "input": {"f": format_polynomial(f), "P": format_operator(P),
+                  "k": args.k, "nvars": n},
         "order": query.order,
         "member": member,
     }
@@ -148,8 +125,8 @@ def cmd_v0_basis(args):
     f = parse_polynomial(args.f, n)
     out = {
         "command": "v0-basis",
-        "input": {"f": _poly_str(f), "d": args.d, "w": args.w, "nvars": n,
-                  "compare": bool(args.compare)},
+        "input": {"f": format_polynomial(f), "d": args.d, "w": args.w,
+                  "nvars": n, "compare": bool(args.compare)},
     }
     weights = ([args.w] if args.w is not None
                else list(vfilt_mod.default_weight_range(f, args.d)))
@@ -175,8 +152,8 @@ def cmd_vk_basis(args):
     space = vfilt_mod.vk_graded_basis(f, args.k, args.d, args.w)
     return {
         "command": "vk-basis",
-        "input": {"f": _poly_str(f), "k": args.k, "d": args.d, "w": args.w,
-                  "nvars": n},
+        "input": {"f": format_polynomial(f), "k": args.k, "d": args.d,
+                  "w": args.w, "nvars": n},
         **_basis_payload(space),
     }
 
@@ -201,138 +178,21 @@ def cmd_symalg(args):
     report = symalg_mod.torsion_test_symk(sp, args.symk)
     return {
         "command": "symalg",
-        "input": {"f": _poly_str(f), "module": args.module,
+        "input": {"f": format_polynomial(f), "module": args.module,
                   "symk": args.symk, "nvars": n},
         "module_rank": sp.module_rank,
         "ring_variables": [f"x{i+1}" for i in range(n)] +
                           [f"T{j+1}" for j in range(sp.module_rank)],
-        "relations": [_poly_str(r) for r in sp.relations],
-        "rees_kernel": [_poly_str(p) for p in rk.generators],
+        "relations": [format_polynomial(r) for r in sp.relations],
+        "rees_kernel": [format_polynomial(p) for p in rk.generators],
         "pi_injective": injective,
         "torsion": {
             "k": report.tdegree,
             "torsion_free": report.torsion_free,
-            "witnesses": [{"variable": i, "element": _vec(v)}
+            "witnesses": [{"variable": i, "element": format_vector(v)}
                           for i, v in report.witnesses],
         },
     }
-
-
-# ---------------------------------------------------------------------------
-# the certification pipeline
-# ---------------------------------------------------------------------------
-
-def _split_complement(dm, chi):
-    """Der(log f) on minimal generators A with O*chi + <A> = Der(log f)
-    direct, or None."""
-    from .groebner import FreeModuleVector, buchberger, gb_equal
-    try:
-        idx = dm.minimal_indices()
-    except ValueError:
-        return None
-    chi_vec = FreeModuleVector(chi.first_order_part())
-    full = dm.gb()
-    for drop in range(len(idx)):
-        keep = idx[:drop] + idx[drop + 1:]
-        cand = [dm.generators[i] for i in keep]
-        if not cand:
-            continue
-        if not gb_equal(buchberger([chi_vec] + cand), full):
-            continue
-        if logder_mod.split_check(dm, chi, a_generators=cand):
-            return dm.subset(keep)
-    return None
-
-
-def _route_report(name, dm, dimZ, symk_bound):
-    cert = symalg_mod.grade_criterion(dm, dimZ)
-    sp = symalg_mod.sym_presentation(dm)
-    witnesses = []
-    for k in range(2, symk_bound + 1):
-        report = symalg_mod.torsion_test_symk(sp, k)
-        for i, v in report.witnesses:
-            witnesses.append({"k": k, "variable": i, "element": _vec(v)})
-    route = {
-        "route": name,
-        "module_rank": len(dm.generators),
-        "resolution_shape": "ok" if cert.applicable else "na",
-        "resolution_note": cert.reason,
-        "grade": None if cert.grade is None else
-                 ("inf" if cert.grade == float("inf") else cert.grade),
-        "required": cert.required,
-        "grade_certified": cert.certified,
-        "torsion_witnesses": witnesses,
-    }
-    if cert.applicable:
-        route["syzygy_vector"] = _vec(cert.syzygy_vector)
-    return route
-
-
-def criterion_certificate(f, dimZ, symk_bound=2, route="both"):
-    """Hypothesis checklist and verdict for the vector-field generation
-    criterion: freeness shortcut, Euler field, splitting, rank-one
-    resolution, grade bound, and degreewise torsion evidence."""
-    chi = logder_mod.euler_field(f)
-    homogeneous = f.is_homogeneous()
-    dm = logder_mod.log_derivations(f)
-    freeness = logder_mod.saito_freeness_test(dm)
-    cert = {
-        "input": {"f": _poly_str(f), "dimZ": dimZ, "symk_bound": symk_bound,
-                  "route": route},
-        "hypotheses": {
-            "euler": format_operator(chi) if chi is not None else None,
-            "euler_homogeneous": chi is not None,
-            "homogeneous": homogeneous,
-            "quasi_homogeneous": logder_mod.quasi_weights(f) is not None,
-            "free": freeness.status,
-            "split": None,
-        },
-        "routes": [],
-    }
-    routes = []
-    if chi is not None:
-        if route in ("both", "ann"):
-            routes.append(_route_report("ann", logder_mod.ann_theta(f), dimZ,
-                                        symk_bound))
-        if route in ("both", "split"):
-            comp = _split_complement(dm, chi)
-            cert["hypotheses"]["split"] = comp is not None
-            if comp is not None:
-                routes.append(_route_report("split", comp, dimZ, symk_bound))
-    cert["routes"] = routes
-    refuted = [r for r in routes if r["torsion_witnesses"]]
-    certified = [r for r in routes
-                 if r["grade_certified"] and not r["torsion_witnesses"]]
-    if freeness.status == "free":
-        verdict = "certified"
-        rests_on = ("free divisor: a basis of logarithmic fields generates "
-                    "every logarithmic differential operator")
-    elif chi is None:
-        verdict, rests_on = "inconclusive", "no Euler field: criterion hypotheses fail"
-    elif certified:
-        verdict = "certified"
-        rests_on = ("rank-one resolution with grade >= dimZ+3 implies the "
-                    "logarithmic operators are generated by vector fields")
-    elif refuted:
-        verdict = "refuted-with-witness"
-        rests_on = ("coordinate zero divisors on a symmetric power show the "
-                    "symmetric-to-Rees map is not injective, so the "
-                    "criterion's torsion-freeness hypothesis fails")
-    else:
-        verdict, rests_on = "inconclusive", "no route certified and no witness found"
-    best = certified[0] if certified else (routes[0] if routes else None)
-    cert.update({
-        "euler": cert["hypotheses"]["euler"],
-        "split": cert["hypotheses"]["split"],
-        "resolution_shape": best["resolution_shape"] if best else "na",
-        "grade": best["grade"] if best else None,
-        "required": dimZ + 3,
-        "certified": bool(certified) or freeness.status == "free",
-        "torsion_witnesses": [w for r in routes for w in r["torsion_witnesses"]],
-        "verdict": verdict,
-        "rests_on": rests_on,
-    })
-    return cert
 
 
 def cmd_criterion(args):
@@ -352,8 +212,9 @@ def cmd_arrangement(args):
         return {
             "command": "arrangement",
             "input": {"kind": "example9"},
-            "f": _poly_str(arrangement.f),
-            "hyperplanes": [_poly_str(h) for h in arrangement.hyperplanes],
+            "f": format_polynomial(arrangement.f),
+            "hyperplanes": [format_polynomial(h)
+                            for h in arrangement.hyperplanes],
             "Q": format_operator(Q),
             "Q_order": int(Q.order()),
             "Q_weight": Q.weight(),
@@ -363,7 +224,7 @@ def cmd_arrangement(args):
     out = {
         "command": "arrangement",
         "input": {"kind": "dn", "n": n, "check": args.check},
-        "f": _poly_str(arrangement.f),
+        "f": format_polynomial(arrangement.f),
         "eta_count": len(arrangement.eta_index),
         "sigma_count": len(arrangement.sigmas),
     }
@@ -374,119 +235,8 @@ def cmd_arrangement(args):
     return out
 
 
-# ---------------------------------------------------------------------------
-# selftest: the golden cases
-# ---------------------------------------------------------------------------
-
-def _golden_cases():
-    from .groebner import buchberger, gb_equal, FreeModuleVector
-
-    def example3_2():
-        ok = True
-        for m, k in ((0, 2), (1, 2), (0, 3)):
-            n = m + k
-            f = Polynomial.one(n)
-            for i in range(m, n):
-                f = f * Polynomial.variable(n, i)
-            dm = logder_mod.log_derivations(f)
-            expected = []
-            zero = Polynomial.zero(n)
-            for i in range(m):
-                comps = [zero] * n
-                comps[i] = Polynomial.one(n)
-                expected.append(FreeModuleVector(comps))
-            for i in range(m, n):
-                comps = [zero] * n
-                comps[i] = Polynomial.variable(n, i)
-                expected.append(FreeModuleVector(comps))
-            ok = ok and gb_equal(buchberger(dm.generators),
-                                 buchberger(expected))
-        return ok
-
-    def example9_member():
-        arrangement, Q = arr_mod.example9_objects()
-        return vfilt_mod.v_member(arrangement.f, Q, 0)
-
-    def example16():
-        arrangement, Q = arr_mod.example9_objects()
-        f = arrangement.f
-        dm = logder_mod.log_derivations(f).minimalized()
-        nf = symalg_mod.alpha_image_nf(dm, Q, 2)
-        sp = symalg_mod.sym_presentation(dm)
-        rk = symalg_mod.rees_kernel(dm)
-        cmp = vfilt_mod.compare_v0(f, 2, 3, dm)
-        return ((not nf.is_zero()) and
-                symalg_mod.pi_injectivity_test(sp, rk) and
-                not cmp.equal and cmp.witness is not None)
-
-    def d3_certified():
-        cert = criterion_certificate(
-            arr_mod.generic_dn(3).f, 0, symk_bound=2, route="split")
-        return cert["verdict"] == "certified"
-
-    def dim3_corollary():
-        ok = True
-        for text, n in (("x^3+y^3+z^3", 3), ("x^2+y^2+z^2", 3),
-                        ("x^5+y^3+z^2", 3)):
-            cert = criterion_certificate(
-                parse_polynomial(text, n), 0, symk_bound=2, route="ann")
-            ok = ok and cert["verdict"] == "certified"
-        return ok
-
-    def quadric_c4():
-        f = parse_polynomial("x^2+y^2+z^2+w^2", 4)
-        ann = logder_mod.ann_theta(f)
-        sp = symalg_mod.sym_presentation(ann)
-        rk = symalg_mod.rees_kernel(ann)
-        report = symalg_mod.torsion_test_symk(sp, 2)
-        return (sorted(i for i, _ in report.witnesses) == [0, 1, 2, 3]
-                and not symalg_mod.pi_injectivity_test(sp, rk))
-
-    def d4_torsion():
-        dm = arr_mod.generic_dn(4).a_module()
-        sp = symalg_mod.sym_presentation(dm)
-        report = symalg_mod.torsion_test_symk(sp, 2)
-        return sorted(i for i, _ in report.witnesses) == [0, 1, 2, 3]
-
-    cases = [("example3_2_normal_crossing", example3_2),
-             ("example9_v0_membership", example9_member),
-             ("example16_gap_and_injectivity", example16)]
-    for n in (3, 4, 5):
-        cases.append((f"lemma19_n{n}", lambda n=n: arr_mod.lemma19_check(n)))
-        cases.append((f"prop17_n{n}", lambda n=n: arr_mod.prop17_check(n)))
-    cases.extend([
-        ("d3_certification", d3_certified),
-        ("dim3_corollary_instances", dim3_corollary),
-        ("quadric_c4_torsion_and_pi", quadric_c4),
-        ("d4_sym2_torsion", d4_torsion),
-    ])
-    return cases
-
-
 def cmd_selftest(args):
-    results = []
-    failures = 0
-    for name, fn in _golden_cases():
-        t0 = time.perf_counter()
-        try:
-            ok = bool(fn())
-        except Exception as exc:  # a crash is a failing golden case
-            ok = False
-            results.append({"case": name, "pass": False,
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "seconds": round(time.perf_counter() - t0, 3)})
-            failures += 1
-            continue
-        results.append({"case": name, "pass": ok,
-                        "seconds": round(time.perf_counter() - t0, 3)})
-        if not ok:
-            failures += 1
-    return {
-        "command": "selftest",
-        "cases": results,
-        "passed": len(results) - failures,
-        "failed": failures,
-    }
+    return {"command": "selftest", **run_golden_cases()}
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +401,7 @@ def run(argv) -> int:
         if idx + 1 < len(argv):
             try:
                 values = _load_config(argv[idx + 1])
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 print(f"error: cannot read config: {exc}", file=sys.stderr)
                 return EXIT_USAGE
             converted = {}

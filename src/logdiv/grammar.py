@@ -92,6 +92,21 @@ def _resolve_name(name, nvars, allow_d, line, col):
     return kind, idx
 
 
+def infer_nvars(*texts):
+    """Smallest ring dimension accommodating every variable mentioned."""
+    n = 1
+    for text in texts:
+        for kind, value, _, _ in _tokenize(text or ""):
+            if kind != "NAME":
+                continue
+            body = value[1:] if value.startswith("d") and len(value) > 1 else value
+            if body in _ALIAS_INDEX:
+                n = max(n, _ALIAS_INDEX[body] + 1)
+            elif body.startswith("x") and body[1:].isdigit():
+                n = max(n, int(body[1:]))
+    return n
+
+
 class _Parser:
     def __init__(self, text, nvars, operator_mode):
         self.tokens = _tokenize(text)

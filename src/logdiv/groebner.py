@@ -1,6 +1,6 @@
 """Buchberger engine for ideals and submodules of free modules over the
-polynomial ring, with syzygies, lifting, ideal quotient, saturation,
-elimination and codimension.
+polynomial ring, with syzygies, lifting, ideal quotient, elimination and
+codimension.
 
 The public API works with Fraction-coefficient vectors.  Inside, a vector
 is a map from packed terms to integer coefficients, with content stripped
@@ -95,15 +95,14 @@ class FreeModuleVector:
 class GroebnerBasis:
     """Reduced Groebner basis of a submodule of O^rank (rank 1: an ideal)."""
 
-    __slots__ = ("_generators", "order", "rank", "nvars", "reduced", "_packed")
+    __slots__ = ("_generators", "order", "rank", "nvars", "_packed")
 
-    def __init__(self, generators, order, rank, nvars, reduced=True):
+    def __init__(self, generators, order, rank, nvars):
         # None: decoded from the packed reducers on first use
         self._generators = None if generators is None else list(generators)
         self.order = order
         self.rank = rank
         self.nvars = nvars
-        self.reduced = reduced
         self._packed = None
 
     @property
@@ -450,7 +449,7 @@ def buchberger(gens, order: ModuleOrder | None = None) -> GroebnerBasis:
         return eng, eng.buchberger([eng.ivec(v) for v in gens])
 
     eng, reducers = _widening(run)
-    gb = GroebnerBasis(None, order, rank, nvars, reduced=True)
+    gb = GroebnerBasis(None, order, rank, nvars)
     gb._packed = (eng, reducers, eng.index(reducers))
     return gb
 
@@ -610,21 +609,6 @@ def gb_equal(a: GroebnerBasis, b: GroebnerBasis) -> bool:
         return False
     return (all(in_submodule(v, b) for v in a.generators) and
             all(in_submodule(v, a) for v in b.generators))
-
-
-def saturation(gb: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
-    """(I : g^inf) by iterating the quotient until it stabilises."""
-    if g.is_zero():
-        raise ValueError("saturation by the zero polynomial")
-    cur = gb
-    while True:
-        nxt = ideal_quotient(cur, g)
-        if len(nxt) == len(cur) and all(
-                u == v for u, v in zip(nxt.generators, cur.generators)):
-            return cur
-        if gb_equal(nxt, cur):
-            return cur
-        cur = nxt
 
 
 def eliminate(gb_or_polys, elim_vars, nvars=None) -> GroebnerBasis:

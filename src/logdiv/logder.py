@@ -1,6 +1,6 @@
 """Logarithmic vector fields along a divisor: the module Der(log D), the
 annihilator of the defining equation, Euler fields, Saito's freeness
-criterion, the splitting test and the determinant polynomiality check."""
+criterion and the splitting test."""
 
 from __future__ import annotations
 
@@ -261,16 +261,3 @@ def poly_det(rows):
         return acc
 
     return minor(0, tuple(range(n)))
-
-
-def polynomiality_det(generators) -> bool:
-    """For exactly n fields on n variables: is the coefficient determinant
-    nonzero (so the fields generate a polynomial subring of the symbols)?"""
-    generators = list(generators)
-    if not generators:
-        raise ValueError("no generators given")
-    n = generators[0].nvars
-    if len(generators) != n:
-        raise ValueError(f"expected exactly {n} fields, got {len(generators)}")
-    det = poly_det([list(v.components) for v in generators])
-    return not det.is_zero()

@@ -466,10 +466,6 @@ def var_name(i: int, nvars: int) -> str:
     return f"x{i + 1}"
 
 
-def _fmt_coeff(c: Fraction) -> str:
-    return str(c)
-
-
 def format_polynomial(p: Polynomial, order: TermOrder = DEGREVLEX) -> str:
     if p.is_zero():
         return "0"
@@ -483,11 +479,11 @@ def format_polynomial(p: Polynomial, order: TermOrder = DEGREVLEX) -> str:
             factors.append(v if e == 1 else f"{v}^{e}")
         mag = abs(c)
         if not factors:
-            body = _fmt_coeff(mag)
+            body = str(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([_fmt_coeff(mag)] + factors)
+            body = "*".join([str(mag)] + factors)
         if not bits:
             bits.append(body if c > 0 else "-" + body)
         else:

@@ -130,8 +130,7 @@ def rees_kernel(dm: DerivationModule) -> ReesKernel:
     projected = [FreeModuleVector.from_polynomial(
         _restrict(v.components[0], ring, keep)) for v in elim.generators]
     from .groebner import default_module_order
-    gb = GroebnerBasis(projected, default_module_order(), 1, ring,
-                       reduced=True)
+    gb = GroebnerBasis(projected, default_module_order(), 1, ring)
     return ReesKernel(gb)
 
 
@@ -205,12 +204,6 @@ class TorsionReport:
     tdegree: int
     torsion_free: bool
     witnesses: list          # (variable index, canonical annihilated class)
-
-    def witness_for(self, i):
-        for j, v in self.witnesses:
-            if j == i:
-                return v
-        return None
 
 
 def torsion_test_symk(sp: SymPresentation, k: int) -> TorsionReport:

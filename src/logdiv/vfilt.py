@@ -28,6 +28,14 @@ from .weyl import WeylOperator, apply_op, compose
 # membership
 # ---------------------------------------------------------------------------
 
+def _conditions(nvars, order, level):
+    """All (alpha, l) with |alpha| + l <= order and l - level >= 1."""
+    for l in range(max(level + 1, 0), order + 1):
+        for adeg in range(order - l + 1):
+            for alpha in monomials_of_degree(nvars, adeg):
+                yield alpha, l
+
+
 @dataclass
 class VMembershipQuery:
     divisor: Polynomial
@@ -43,14 +51,7 @@ class VMembershipQuery:
 
     def conditions(self):
         """All (alpha, l) with |alpha| + l <= order and l - level >= 1."""
-        out = []
-        for l in range(self.order + 1):
-            if l - self.level < 1:
-                continue
-            for adeg in range(self.order - l + 1):
-                for alpha in monomials_of_degree(self.divisor.nvars, adeg):
-                    out.append((alpha, l))
-        return out
+        return list(_conditions(self.divisor.nvars, self.order, self.level))
 
 
 def v_membership(query: VMembershipQuery) -> bool:
@@ -182,9 +183,9 @@ def _require_homogeneous(f):
         raise NonHomogeneousError("graded bases need a homogeneous divisor")
 
 
-def _condition_kernel(f, coords, levels):
-    """Kernel of the stacked conditions P(x^alpha f^l) in f^p * O over the
-    coordinate columns; ``levels`` lists (alpha, l, p).
+def _condition_kernel(f, coords, d, k):
+    """Kernel of the stacked conditions P(x^alpha f^l) in f^p * O, p = l - k,
+    over the coordinate columns, for the (alpha, l) of ``_conditions``.
 
     A level contributes one row per target monomial: the images of the
     coordinate columns reduced against the rref of the f^p multiples.  The
@@ -201,7 +202,8 @@ def _condition_kernel(f, coords, levels):
         return powers[p]
 
     rows = []
-    for alpha, l, p in levels:
+    for alpha, l in _conditions(n, d, k):
+        p = l - k
         target_deg = mono_deg(alpha) + l * e + coords.w
         if target_deg < 0:
             continue
@@ -276,15 +278,7 @@ def vk_graded_basis(f: Polynomial, k: int, d: int, w: int) -> GradedOperatorSpac
         fk = f ** (-k)
         vectors = [coords.op_to_vec(op.left_mul(fk)) for op in inner.basis]
         return _space_from_vectors(f, d, w, coords, vectors)
-    levels = []
-    for l in range(d + 1):
-        p = l - k
-        if p < 1:
-            continue
-        for adeg in range(d - l + 1):
-            for alpha in monomials_of_degree(n, adeg):
-                levels.append((alpha, l, p))
-    vectors = _condition_kernel(f, coords, levels)
+    vectors = _condition_kernel(f, coords, d, k)
     return _space_from_vectors(f, d, w, coords, vectors)
 
 
@@ -370,5 +364,7 @@ def compare_v0(f: Polynomial, d: int, w: int,
 def default_weight_range(f: Polynomial, d: int):
     """Heuristic scan range [-d, d*(deg f - 1)] where order <= d
     logarithmic operators of a homogeneous divisor can live."""
+    if d < 0:
+        raise ValueError("order bound must be nonnegative")
     e = f.degree()
     return range(-d, d * (e - 1) + 1)

@@ -114,7 +114,7 @@ def test_criterion_5_d3_certification():
         assert chi is not None
         dm = log_derivations(f).minimalized()
         # recover a complement of the Euler line automatically
-        from logdiv.cli import _split_complement
+        from logdiv.criterion import _split_complement
         comp = _split_complement(log_derivations(f), chi)
         assert comp is not None
         a_gens = comp.generators
@@ -132,7 +132,7 @@ def test_criterion_5_d3_certification():
 
 
 def test_criterion_6_dimension_three_instances():
-    from logdiv.cli import criterion_certificate
+    from logdiv.criterion import criterion_certificate
     for text in ("x^3+y^3+z^3", "x^2+y^2+z^2", "x^5+y^3+z^2"):
         with _Timer(f"6 (isolated quasi-homogeneous: {text})"):
             f = P(text, 3)

@@ -12,7 +12,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from logdiv import cli, groebner, logder
+from logdiv import cli, criterion, groebner, logder
 from logdiv.arrangements import generic_dn
 from logdiv.grammar import parse_polynomial
 from logdiv.groebner import (FreeModuleVector, buchberger, in_submodule,
@@ -199,6 +199,6 @@ def test_criterion_computes_log_derivations_once(monkeypatch):
     monkeypatch.setattr(logder, "log_derivations", counting)
     for n in (3, 4):
         calls.clear()
-        cert = cli.criterion_certificate(generic_dn(n).f, 0, route="both")
+        cert = criterion.criterion_certificate(generic_dn(n).f, 0, route="both")
         assert len(cert["routes"]) == 2
         assert len(calls) == 1

@@ -99,7 +99,7 @@ def test_criterion_does_not_certify_the_quintic():
     # the five-plane arrangement has a genuine gap at order two, so the
     # certification hypotheses must fail even though pi is injective
     from logdiv.arrangements import example9_objects
-    from logdiv.cli import criterion_certificate
+    from logdiv.criterion import criterion_certificate
     arr, _ = example9_objects()
     cert = criterion_certificate(arr.f, 0, symk_bound=2, route="both")
     assert cert["verdict"] == "inconclusive"
