@@ -55,12 +55,12 @@ class DnArrangement(Arrangement):
         """The eta-generated submodule as a derivation module along f."""
         gens = self.eta_list()
         cofs = [_cofactor(v, self.f) for v in gens]
-        return DerivationModule(self.f, gens, cofs, syzygies(gens))
+        return DerivationModule(self.f, gens, cofs)
 
     def full_module(self) -> DerivationModule:
         gens = [self.chi] + self.eta_list()
         cofs = [_cofactor(v, self.f) for v in gens]
-        return DerivationModule(self.f, gens, cofs, syzygies(gens))
+        return DerivationModule(self.f, gens, cofs)
 
 
 MAX_N = 6

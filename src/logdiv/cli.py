@@ -244,7 +244,6 @@ def cmd_selftest(args):
 # ---------------------------------------------------------------------------
 
 def _build_parser():
-    subparsers = []
     parser = argparse.ArgumentParser(
         prog="logdiv",
         description="Exact computations with logarithmic derivations, "
@@ -252,13 +251,6 @@ def _build_parser():
     parser.add_argument("--config", metavar="FILE",
                         help="key=value defaults, one per line")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    _add = sub.add_parser
-
-    def add_parser(*a, **kw):
-        p = _add(*a, **kw)
-        subparsers.append(p)
-        return p
-    sub.add_parser = add_parser
 
     def common(p):
         p.add_argument("-n", "--nvars", type=int, default=None,
@@ -330,21 +322,13 @@ def _build_parser():
     common(p)
     p.set_defaults(fn=cmd_selftest)
 
-    return parser, subparsers
+    return parser, sub.choices
 
 
-def _load_config(path):
-    values = {}
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed config line: {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
+_PARSER, _SUBPARSERS = _build_parser()
+# options that take a value, for _attach_dash_values
+_VALUED = {opt for p in (_PARSER, *_SUBPARSERS.values()) for a in p._actions
+           if a.nargs is None for opt in a.option_strings}
 
 
 def _emit_human(data, out):
@@ -376,11 +360,9 @@ def _scalar(v):
     return str(v)
 
 
-def _attach_dash_values(argv, parsers):
+def _attach_dash_values(argv):
     """Join an option and a value that starts with '-' into one token, so
     ``-P -x*dx`` parses as ``-P=-x*dx`` instead of as two options."""
-    valued = {opt for p in parsers for action in p._actions
-              if action.nargs is None for opt in action.option_strings}
     out = []
     pending = None  # a valued option still waiting for its value
     for arg in argv:
@@ -389,37 +371,60 @@ def _attach_dash_values(argv, parsers):
             pending = None
             continue
         out.append(arg)
-        pending = arg if pending is None and arg in valued else None
+        pending = arg if pending is None and arg in _VALUED else None
     return out
 
 
+def _config_args(path, subparser):
+    """The ``key=value`` lines of a config file as option tokens of
+    ``subparser``, so argparse checks them like flags.  Keys are flag
+    destinations; those ``subparser`` has no option for are ignored."""
+    values = {}
+    with open(path) as handle:
+        for line in handle:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"malformed config line: {line!r}")
+            key, _, value = line.partition("=")
+            values[key.strip()] = value.strip()
+    tokens = []
+    for action in subparser._actions:
+        value = values.get(action.dest)
+        if value is None or not action.option_strings:
+            continue
+        opt = action.option_strings[-1]
+        if action.nargs is None:
+            tokens.append(f"{opt}={value}")
+        elif value == "true":
+            tokens.append(opt)
+        elif value != "false":
+            raise ValueError(f"{action.dest} must be true or false")
+    return tokens
+
+
+def _parse(argv):
+    """Parse argv; ``--config`` values go in right after the subcommand
+    name, so explicit flags, which come later, still win."""
+    argv = _attach_dash_values(argv)
+    args = _PARSER.parse_args(argv)
+    if args.config is not None:
+        # skip the config path, which could be spelled like a subcommand
+        at = argv.index(args.subcommand, 1 if "=" in argv[0] else 2) + 1
+        tokens = _config_args(args.config, _SUBPARSERS[args.subcommand])
+        args = _PARSER.parse_args(argv[:at] + tokens + argv[at:])
+    return args
+
+
 def run(argv) -> int:
-    parser, subparsers = _build_parser()
-    # apply --config before the real parse so flags still win
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 < len(argv):
-            try:
-                values = _load_config(argv[idx + 1])
-            except (OSError, ValueError) as exc:
-                print(f"error: cannot read config: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            converted = {}
-            for key, value in values.items():
-                if value.lstrip("-").isdigit():
-                    converted[key] = int(value)
-                elif value in ("true", "false"):
-                    converted[key] = value == "true"
-                else:
-                    converted[key] = value
-            parser.set_defaults(**converted)
-            for p in subparsers:
-                p.set_defaults(**converted)
     try:
-        args = parser.parse_args(_attach_dash_values(argv,
-                                                     [parser, *subparsers]))
+        args = _parse(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     t0 = time.perf_counter()
     try:
         data = args.fn(args)

@@ -14,7 +14,7 @@ from . import logder as logder_mod
 from . import symalg as symalg_mod
 from . import vfilt as vfilt_mod
 from .grammar import parse_polynomial
-from .groebner import FreeModuleVector, buchberger, gb_equal
+from .groebner import FreeModuleVector, buchberger, gb_equal, in_submodule
 from .poly import Polynomial, format_polynomial
 from .weyl import format_operator
 
@@ -32,20 +32,22 @@ def _split_complement(dm, chi):
     """Der(log f) on minimal generators A with O*chi + <A> = Der(log f)
     direct, or None."""
     try:
-        idx = dm.minimal_indices()
+        mini = dm.minimalized()
     except ValueError:
         return None
+    gens = mini.generators
     chi_vec = FreeModuleVector(chi.first_order_part())
-    full = dm.gb()
-    for drop in range(len(idx)):
-        keep = idx[:drop] + idx[drop + 1:]
-        cand = [dm.generators[i] for i in keep]
+    for drop in range(len(gens)):
+        keep = [i for i in range(len(gens)) if i != drop]
+        cand = [gens[i] for i in keep]
         if not cand:
             continue
-        if not gb_equal(buchberger([chi_vec] + cand), full):
+        # chi and cand lie in Der(log f), which the minimal generators
+        # span, so they span it iff they reach the dropped generator
+        if not in_submodule(gens[drop], buchberger([chi_vec] + cand)):
             continue
-        if logder_mod.split_check(dm, chi, a_generators=cand):
-            return dm.subset(keep)
+        if logder_mod.split_check(mini, chi, a_generators=cand):
+            return mini.subset(keep)
     return None
 
 
@@ -79,7 +81,6 @@ def criterion_certificate(f, dimZ, symk_bound=2, route="both"):
     criterion: freeness shortcut, Euler field, splitting, rank-one
     resolution, grade bound, and degreewise torsion evidence."""
     chi = logder_mod.euler_field(f)
-    homogeneous = f.is_homogeneous()
     dm = logder_mod.log_derivations(f)
     freeness = logder_mod.saito_freeness_test(dm)
     cert = {
@@ -88,8 +89,8 @@ def criterion_certificate(f, dimZ, symk_bound=2, route="both"):
         "hypotheses": {
             "euler": format_operator(chi) if chi is not None else None,
             "euler_homogeneous": chi is not None,
-            "homogeneous": homogeneous,
-            "quasi_homogeneous": logder_mod.quasi_weights(f) is not None,
+            "homogeneous": f.is_homogeneous(),
+            "quasi_homogeneous": dm.grading[0] is not None,
             "free": freeness.status,
             "split": None,
         },

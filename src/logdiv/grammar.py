@@ -189,8 +189,12 @@ class _Parser:
                 self.error("exponent must be a nonnegative integer", tok)
             k = int(tok[1])
             value = self.const(1)
-            for _ in range(k):
-                value = self.mul(value, base)
+            while k:  # repeated squaring
+                if k & 1:
+                    value = self.mul(value, base)
+                k >>= 1
+                if k:
+                    base = self.mul(base, base)
             return value
         return base
 

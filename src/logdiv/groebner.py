@@ -694,23 +694,24 @@ def graded_min_generators(vectors, weights=None, shifts=None):
     """Minimal homogeneous generating subset, greedily by degree
     (graded Nakayama).  Returns (kept_vectors, degrees)."""
     vectors = list(vectors)
-    kept, degrees, _ = graded_min_indices(vectors, weights, shifts)
+    kept, degrees, _ = graded_min_indices(
+        vectors, [vector_degree(v, weights, shifts) for v in vectors])
     return [vectors[i] for i in kept], degrees
 
 
-def graded_min_indices(vectors, weights=None, shifts=None):
+def graded_min_indices(vectors, degrees):
     """Positions in ``vectors`` of the subset ``graded_min_generators``
-    keeps, its degrees, and the Groebner basis of the module it generates
-    (None for no vectors)."""
-    deco = sorted((vector_degree(v, weights, shifts), vector_lead_term(v)[1], i)
-                  for i, v in enumerate(vectors) if not v.is_zero())
+    keeps, given the degree of each vector, with the kept degrees and the
+    Groebner basis of the module the subset generates (None for no
+    vectors)."""
+    deco = sorted((d, vector_lead_term(v)[1], i)
+                  for i, (v, d) in enumerate(zip(vectors, degrees))
+                  if not v.is_zero())
     kept = []
-    degrees = []
     gb = None
-    for d, _, i in deco:
+    for _, _, i in deco:
         if gb is not None and in_submodule(vectors[i], gb):
             continue
         kept.append(i)
-        degrees.append(d)
         gb = buchberger([vectors[k] for k in kept])
-    return kept, degrees, gb
+    return kept, [degrees[i] for i in kept], gb

@@ -6,12 +6,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 
 from . import linalg
 from .groebner import (FreeModuleVector, GroebnerBasis, buchberger,
-                       graded_min_indices, ideal_lift, in_submodule,
-                       syzygies)
+                       graded_min_indices, ideal_lift, syzygies, vector_degree)
 from .poly import Polynomial, divide_exact
 from .weyl import WeylOperator, apply_op
 
@@ -50,13 +50,9 @@ def quasi_weights(f: Polynomial):
         v = [-c for c in v]
     if any(c < 0 for c in v):
         return None
-    den = 1
-    for c in v:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in v))
     ints = [int(c * den) for c in v]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
+    g = gcd(*ints)
     ints = [c // g for c in ints]
     w = [1] * n
     for i, wi in zip(present, ints):
@@ -70,54 +66,68 @@ class DerivationModule:
 
     Each generator is the coefficient vector (a_1..a_n) of a field
     sum a_i d_i; the stored cofactor c satisfies sum a_i d_i(f) = c*f.
+    What is derived from the generators (Groebner basis, first syzygies,
+    grading, minimal generating subset) is computed on first use and kept.
     """
 
     divisor: Polynomial
     generators: list
     cofactors: list
-    first_syzygies: list
     _gb: GroebnerBasis | None = field(default=None, repr=False, compare=False)
-    _minimal: list | None = field(default=None, repr=False, compare=False)
+    _minimal: DerivationModule | None = field(default=None, repr=False,
+                                              compare=False)
 
     @property
     def nvars(self):
         return self.divisor.nvars
+
+    @cached_property
+    def first_syzygies(self) -> list:
+        """Generators of the relations among the generators."""
+        return syzygies(self.generators) if self.generators else []
 
     def gb(self) -> GroebnerBasis:
         if self._gb is None:
             self._gb = buchberger(self.generators)
         return self._gb
 
+    @cached_property
+    def grading(self):
+        """(w, degrees): the divisor's quasi_weights and the degree of each
+        generator, a field sum a_i d_i with weighted-homogeneous a_i having
+        degree deg(a_i) - w_i.  w is None when the divisor is not
+        quasi-homogeneous; degrees is None then and when some generator is
+        not homogeneous."""
+        w = quasi_weights(self.divisor)
+        if w is None:
+            return None, None
+        try:
+            return w, [vector_degree(g, weights=w, shifts=[-wi for wi in w])
+                       for g in self.generators]
+        except ValueError:
+            return w, None
+
     def operators(self):
         return [WeylOperator.vector_field(v.components) for v in self.generators]
 
-    def contains(self, vec: FreeModuleVector) -> bool:
-        return in_submodule(vec, self.gb())
-
-    def minimal_indices(self) -> list:
-        """Positions of a graded minimal generating subset of the
-        generators, for the divisor's weights (homogeneous data only)."""
+    def minimalized(self) -> "DerivationModule":
+        """Graded minimal generating subset, in increasing degree (graded
+        data only)."""
         if self._minimal is None:
-            w = quasi_weights(self.divisor)
-            if w is None:
+            _, degrees = self.grading
+            if degrees is None:
                 raise ValueError("minimalization needs (quasi-)homogeneous data")
-            self._minimal, _, gb = graded_min_indices(
-                self.generators, weights=w, shifts=tuple(-wi for wi in w))
-            if self._gb is None:
-                self._gb = gb   # the kept generators span the module
+            kept, _, gb = graded_min_indices(self.generators, degrees)
+            self._minimal = self.subset(kept)
+            # the kept generators span the module, and reduced bases are unique
+            self._gb = self._minimal._gb = gb
         return self._minimal
 
-    def minimalized(self) -> "DerivationModule":
-        """Graded minimal generating set (homogeneous data only)."""
-        return self.subset(self.minimal_indices())
-
     def subset(self, indices) -> "DerivationModule":
-        """The generators at ``indices``, with their cofactors and their own
-        first syzygies."""
-        kept = [self.generators[i] for i in indices]
-        return DerivationModule(self.divisor, kept,
-                                [self.cofactors[i] for i in indices],
-                                syzygies(kept))
+        """The generators at ``indices`` with their cofactors."""
+        return DerivationModule(self.divisor,
+                                [self.generators[i] for i in indices],
+                                [self.cofactors[i] for i in indices])
 
 
 def _cofactor(v: FreeModuleVector, f: Polynomial) -> Polynomial:
@@ -133,9 +143,9 @@ def _cofactor(v: FreeModuleVector, f: Polynomial) -> Polynomial:
 
 
 def log_derivations(f: Polynomial) -> DerivationModule:
-    """Der(log f) = {theta : theta(f) in <f>} with cofactors and first
-    syzygies, computed as the syzygy module of (d_1 f, .., d_n f, -f)
-    projected to the first n coordinates."""
+    """Der(log f) = {theta : theta(f) in <f>} with cofactors, computed as
+    the syzygy module of (d_1 f, .., d_n f, -f) projected to the first n
+    coordinates."""
     if f.is_zero() or f.is_constant():
         raise InvalidDivisor("divisor must be defined by a nonconstant polynomial")
     n = f.nvars
@@ -144,19 +154,15 @@ def log_derivations(f: Polynomial) -> DerivationModule:
     syz = syzygies(inputs)
     generators = [FreeModuleVector(s.components[:n]) for s in syz]
     cofactors = [s.components[n] for s in syz]
-    first = syzygies(generators) if generators else []
-    return DerivationModule(f, generators, cofactors, first)
+    return DerivationModule(f, generators, cofactors)
 
 
 def ann_theta(f: Polynomial) -> DerivationModule:
     """Ann_Theta(f) = {theta : theta(f) = 0}: syzygies of the gradient."""
     if f.is_zero() or f.is_constant():
         raise InvalidDivisor("divisor must be defined by a nonconstant polynomial")
-    n = f.nvars
     gens = syzygies([FreeModuleVector.from_polynomial(g) for g in gradient(f)])
-    zero = Polynomial.zero(n)
-    first = syzygies(gens) if gens else []
-    return DerivationModule(f, gens, [zero] * len(gens), first)
+    return DerivationModule(f, gens, [Polynomial.zero(f.nvars)] * len(gens))
 
 
 def euler_field(f: Polynomial):
@@ -197,7 +203,7 @@ def saito_freeness_test(dm: DerivationModule) -> FreenessVerdict:
     f = dm.divisor
     n = f.nvars
     try:
-        kept = [dm.generators[i] for i in dm.minimal_indices()]
+        kept = dm.minimalized().generators
     except ValueError:
         return FreenessVerdict("inconclusive")
     mu = len(kept)

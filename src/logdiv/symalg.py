@@ -12,12 +12,15 @@ eliminating the xi block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 
 from .groebner import (FreeModuleVector, GroebnerBasis, buchberger, codim,
-                       gb_equal, gb_polys, graded_min_generators, ideal_gb,
-                       normal_form, syzygies, eliminate, vector_degree)
-from .logder import DerivationModule, quasi_weights
+                       default_module_order, gb_equal, gb_polys,
+                       graded_min_generators, ideal_gb, normal_form, syzygies,
+                       eliminate, vector_degree, vector_lead_term)
+from .logder import DerivationModule
 from .poly import Polynomial, monomials_of_degree
+from .weyl import WeylOperator, symbol, xi_component_vector
 
 
 def _reindex(p: Polynomial, nvars_new: int, positions) -> Polynomial:
@@ -50,7 +53,6 @@ class SymPresentation:
     module_rank: int
     relations: list
     gen_degrees: list | None = None
-    weights: tuple | None = None
     _gb: GroebnerBasis | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -63,7 +65,6 @@ class SymPresentation:
                 self._gb = buchberger(
                     [FreeModuleVector.from_polynomial(r) for r in self.relations])
             else:
-                from .groebner import default_module_order
                 self._gb = GroebnerBasis([], default_module_order(), 1,
                                          self.ring_dim)
         return self._gb
@@ -96,16 +97,7 @@ def sym_presentation(dm: DerivationModule) -> SymPresentation:
             rel = rel + _reindex(a, ring, xpos) * tvar
         if not rel.is_zero():
             rels.append(rel)
-    w = quasi_weights(dm.divisor)
-    gen_degs = None
-    if w is not None:
-        shifts = tuple(-wi for wi in w)
-        try:
-            gen_degs = [vector_degree(g, weights=w, shifts=shifts)
-                        for g in dm.generators]
-        except ValueError:
-            gen_degs = None
-    return SymPresentation(n, m, rels, gen_degrees=gen_degs, weights=w)
+    return SymPresentation(n, m, rels, gen_degrees=dm.grading[1])
 
 
 def rees_kernel(dm: DerivationModule) -> ReesKernel:
@@ -129,7 +121,6 @@ def rees_kernel(dm: DerivationModule) -> ReesKernel:
     ring = n + m
     projected = [FreeModuleVector.from_polynomial(
         _restrict(v.components[0], ring, keep)) for v in elim.generators]
-    from .groebner import default_module_order
     gb = GroebnerBasis(projected, default_module_order(), 1, ring)
     return ReesKernel(gb)
 
@@ -235,13 +226,11 @@ def torsion_test_symk(sp: SymPresentation, k: int) -> TorsionReport:
 
 
 def _canonical_vector(v: FreeModuleVector) -> FreeModuleVector:
-    from .groebner import vector_lead_term
     _, _, lc = vector_lead_term(v)
     return v.scale(1 / lc)
 
 
 def _vector_sort_key(v: FreeModuleVector):
-    from .groebner import vector_lead_term
     _, key, _ = vector_lead_term(v)
     return (key, repr(v))
 
@@ -251,9 +240,6 @@ def alpha_image_nf(dm: DerivationModule, op, k: int = 2) -> FreeModuleVector:
     k-fold products of the generator symbols (the degree-k image of the
     symmetric algebra in the symbol ring).  Nonzero means the symbol class
     is not reached by vector fields."""
-    from itertools import combinations_with_replacement
-
-    from .weyl import WeylOperator, symbol, xi_component_vector
     n = dm.nvars
     xi_monos = monomials_of_degree(n, k)
     sym_gens = [symbol(WeylOperator.vector_field(g.components))
@@ -292,7 +278,7 @@ def grade_criterion(dm: DerivationModule, dimZ: int) -> GradeCertificate:
     codim<a_1..a_m> (= grade over the Cohen-Macaulay ambient ring) must be
     at least dimZ + 3."""
     required = dimZ + 3
-    w = quasi_weights(dm.divisor)
+    w, gen_degs = dm.grading
     if w is None:
         return GradeCertificate(False, "divisor is not (quasi-)homogeneous",
                                 required=required)
@@ -300,10 +286,9 @@ def grade_criterion(dm: DerivationModule, dimZ: int) -> GradeCertificate:
         return GradeCertificate(
             False, "module is free (no syzygies): resolution has length 0",
             required=required)
-    shifts = tuple(-wi for wi in w)
     try:
-        gen_degs = [vector_degree(g, weights=w, shifts=shifts)
-                    for g in dm.generators]
+        if gen_degs is None:
+            raise ValueError("generators are not graded")
         kept, _ = graded_min_generators(dm.first_syzygies, weights=w,
                                         shifts=gen_degs)
     except ValueError:

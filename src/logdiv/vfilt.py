@@ -301,12 +301,9 @@ def logder_generated_graded(f: Polynomial, d: int, w: int,
     except ValueError:
         pass
     fields = dm.operators()
-    weights = []
-    for op in fields:
-        wt = op.weight()
-        if wt is None:
-            raise ValueError("generator is not weight-homogeneous")
-        weights.append(wt)
+    weights = dm.grading[1]
+    if weights is None:
+        raise ValueError("generator is not weight-homogeneous")
     coords = OperatorCoordinates(n, d, w)
     vectors = []
     for r in range(d + 1):

@@ -7,6 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, inf
 
+from . import linalg
 from .poly import (DEGREVLEX, Polynomial, format_polynomial, mono_deg,
                    var_name)
 
@@ -260,7 +261,6 @@ def affine_transform(P: WeylOperator, A, a):
     Returns Q with Q(g o phi) = (P g) o phi for phi(u) = A u + a, so
     membership statements that are invariant under affine coordinate
     changes transport along (P, f) -> (Q, f o phi)."""
-    from . import linalg
     n = P.nvars
     A = [[Fraction(c) for c in row] for row in A]
     a = [Fraction(c) for c in a]

@@ -122,7 +122,7 @@ def test_criterion_5_d3_certification():
         from logdiv.logder import DerivationModule, _cofactor
         cofs = [_cofactor(v, f) for v in a_gens]
         assert comp.cofactors == cofs     # taken by index, not re-divided
-        dm_a = DerivationModule(f, a_gens, cofs, syzygies(a_gens))
+        dm_a = DerivationModule(f, a_gens, cofs)
         cert = grade_criterion(dm_a, 0)
         assert cert.applicable          # rank-one resolution found
         assert cert.grade == 3 and cert.required == 3

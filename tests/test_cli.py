@@ -197,6 +197,23 @@ def test_config_file_overrides_defaults(tmp_path):
     assert data["certified"] is True
 
 
+def test_config_values_are_checked_like_flags(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("route=bogus\n")
+    code, out, err = invoke(["--config", str(cfg), "criterion", "x^3+y^3+z^3"])
+    assert code == 2 and out == ""
+    assert "invalid choice: 'bogus'" in err
+
+
+def test_config_does_not_leak_into_later_runs(tmp_path):
+    cfg = tmp_path / "logdiv.cfg"
+    cfg.write_text("dimZ=1\nk=3\n")   # k belongs to other subcommands
+    data = invoke_json(["--config", str(cfg), "criterion", "x^3+y^3+z^3"])
+    assert data["input"]["dimZ"] == 1
+    data = invoke_json(["criterion", "x^3+y^3+z^3"])
+    assert data["input"]["dimZ"] == 0
+
+
 def test_malformed_config_line_is_a_usage_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("garbage\n")

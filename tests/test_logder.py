@@ -1,9 +1,15 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from logdiv import logder
+from logdiv.arrangements import generic_dn
+from logdiv.criterion import _split_complement
 from logdiv.grammar import parse_operator, parse_polynomial
-from logdiv.groebner import FreeModuleVector, buchberger, gb_equal, normal_form
+from logdiv.groebner import (FreeModuleVector, buchberger, gb_equal,
+                             in_submodule, normal_form)
 from logdiv.logder import (InvalidDivisor, ann_theta, euler_field,
                            log_derivations, poly_det,
                            quasi_weights, saito_freeness_test, split_check)
@@ -207,6 +213,74 @@ def test_split_check_rejects_non_logarithmic():
     dm = arr.full_module()
     with pytest.raises(ValueError):
         split_check(dm, parse_operator("dx", 3))
+
+
+def test_first_syzygies_are_computed_on_first_read(monkeypatch):
+    calls = []
+    real = logder.syzygies
+
+    def counting(gens):
+        calls.append(len(gens))
+        return real(gens)
+
+    monkeypatch.setattr(logder, "syzygies", counting)
+    dm = log_derivations(P("x*y*z*(x+y+z)", 3))
+    assert saito_freeness_test(dm).status == "not free at 0"
+    assert len(calls) == 1            # Der(log f) itself, no relations yet
+    first = dm.first_syzygies
+    assert len(calls) == 2
+    assert dm.first_syzygies is first
+    assert len(calls) == 2
+    assert first == real(dm.generators)
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _general_position_planes(seed, count):
+    """Product of ``count`` integer linear forms in x, y, z, every three of
+    them independent."""
+    rng = random.Random(seed)
+    forms = []
+    while len(forms) < count:
+        c = [rng.randint(-2, 2) for _ in range(3)]
+        if (any(c) and all(any(_cross(a, c)) for a in forms) and
+                all(sum(u * v for u, v in zip(_cross(a, b), c))
+                    for a, b in combinations(forms, 2))):
+            forms.append(c)
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    f = Polynomial.one(3)
+    for a, b, c in forms:
+        f = f * (a * x + b * y + c * z)
+    return f
+
+
+@pytest.mark.parametrize(
+    "f", [generic_dn(n).f for n in (3, 4, 5)] +
+    [_general_position_planes(seed, 5) for seed in range(3)],
+    ids=["d3", "d4", "d5", "planes0", "planes1", "planes2"])
+def test_split_complement_membership_matches_module_equality(f):
+    """chi and the other minimal generators span Der(log f) exactly when
+    they reach the dropped one; the search that tests this by membership
+    picks the complement the test by module equality picks."""
+    dm = log_derivations(f)
+    chi = euler_field(f)
+    chi_vec = FreeModuleVector(chi.first_order_part())
+    gens = dm.minimalized().generators
+    full = buchberger(dm.generators)   # not the basis minimalized() seeds
+    expected = None
+    for drop in range(len(gens)):
+        cand = gens[:drop] + gens[drop + 1:]
+        span = buchberger([chi_vec] + cand)
+        equal = gb_equal(span, full)
+        assert in_submodule(gens[drop], span) == equal
+        if (expected is None and equal and
+                split_check(dm, chi, a_generators=cand)):
+            expected = cand
+    comp = _split_complement(dm, chi)
+    assert (comp and comp.generators) == expected
 
 
 # -- determinants ---------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import inf
 
@@ -190,3 +191,16 @@ def test_affine_transform_intertwines_application():
         for _ in range(5):
             g = rand_poly(rng, n, 3, zero_ok=True)
             assert apply_op(Q, g.subs(subs)) == apply_op(Pop, g).subs(subs)
+
+
+def test_parsed_powers_square_repeatedly():
+    p, A = P("x - 2*y + 1", 2), OP("x*dy + dx - y", 2)
+    p_k, A_k = Polynomial.one(2), OP("1", 2)
+    for k in range(6):
+        assert P(f"(x - 2*y + 1)^{k}", 2) == p_k
+        assert OP(f"(x*dy + dx - y)^{k}", 2) == A_k
+        p_k, A_k = p_k * p, compose(A_k, A)
+    t0 = time.perf_counter()
+    assert P("x^1000000", 1).degree() == 1000000
+    assert OP("dx^5000", 1).order() == 5000
+    assert time.perf_counter() - t0 < 1.0
