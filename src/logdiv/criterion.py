@@ -80,6 +80,8 @@ def criterion_certificate(f, dimZ, symk_bound=2, route="both"):
     """Hypothesis checklist and verdict for the vector-field generation
     criterion: freeness shortcut, Euler field, splitting, rank-one
     resolution, grade bound, and degreewise torsion evidence."""
+    if dimZ < 0:
+        raise ValueError(f"dimZ must be at least 0, got {dimZ}")
     chi = logder_mod.euler_field(f)
     dm = logder_mod.log_derivations(f)
     freeness = logder_mod.saito_freeness_test(dm)

@@ -149,7 +149,12 @@ class _Parser:
     # grammar --------------------------------------------------------------
 
     def parse(self):
-        value = self.expr()
+        try:
+            value = self.expr()
+        except RecursionError:
+            tok = self.tokens[min(self.pos, len(self.tokens) - 1)]
+            raise ParseError("expression nested too deeply", tok[2],
+                             tok[3]) from None
         tok = self.peek()
         if tok[0] != "EOF":
             self.error(f"unexpected {tok[1]!r}")

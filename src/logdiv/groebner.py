@@ -1,6 +1,6 @@
 """Buchberger engine for ideals and submodules of free modules over the
-polynomial ring, with syzygies, lifting, ideal quotient, elimination and
-codimension.
+polynomial ring, with syzygies, lifting, module and ideal colons,
+elimination and codimension.
 
 The public API works with Fraction-coefficient vectors.  Inside, a vector
 is a map from packed terms to integer coefficients, with content stripped
@@ -438,20 +438,26 @@ def _prep(gens):
     return gens, rank, nvars
 
 
-def buchberger(gens, order: ModuleOrder | None = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the submodule generated by ``gens``."""
-    gens, rank, nvars = _prep(gens)
-    order = order or default_module_order()
-    gens = [v for v in gens if not v.is_zero()]
+def _basis(order, nvars, rank, encode):
+    """Reduced basis of the integer vectors ``encode(engine)``, restarted
+    with wider slots on overflow, as a GroebnerBasis that keeps them packed."""
 
     def run(slot):
         eng = _engine(order, nvars, rank, slot)
-        return eng, eng.buchberger([eng.ivec(v) for v in gens])
+        return eng, eng.buchberger(encode(eng))
 
     eng, reducers = _widening(run)
     gb = GroebnerBasis(None, order, rank, nvars)
     gb._packed = (eng, reducers, eng.index(reducers))
     return gb
+
+
+def buchberger(gens, order: ModuleOrder | None = None) -> GroebnerBasis:
+    """Reduced Groebner basis of the submodule generated by ``gens``."""
+    gens, rank, nvars = _prep(gens)
+    gens = [v for v in gens if not v.is_zero()]
+    return _basis(order or default_module_order(), nvars, rank,
+                  lambda eng: [eng.ivec(v) for v in gens])
 
 
 def vector_lead_term(v: FreeModuleVector, order: ModuleOrder | None = None):
@@ -508,37 +514,56 @@ def is_groebner_basis(gens, order: ModuleOrder | None = None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# syzygies and lifting
+# syzygies, the module colon and lifting
 # ---------------------------------------------------------------------------
-
-def _tagged(gens, rank, nvars):
-    """Embed generator i as g_i + e_(rank+i); elements of the Groebner basis
-    supported purely on the tags are a basis of the syzygy module."""
-    m = len(gens)
-    zero = Polynomial.zero(nvars)
-    one = Polynomial.one(nvars)
-    out = []
-    for i, g in enumerate(gens):
-        comps = list(g.components) + [zero] * m
-        comps[rank + i] = one
-        out.append(FreeModuleVector(comps))
-    return out
-
 
 _syz_order = lru_cache(maxsize=64)(SyzElimOrder)
 
 
-def syzygies(gens, ring_order=DEGREVLEX):
+def _tagged(gens, rank, nvars):
+    """Reduced basis of the generators g_i tagged as g_i + e_(rank+i), under
+    the order that puts the components below ``rank`` first: its elements
+    supported purely on the tags are a basis of the syzygy module."""
+
+    def encode(eng):
+        vecs = []
+        for i, g in enumerate(gens):
+            vec, den = eng.encode(g)
+            vec[eng.cterm[rank + i]] = den
+            vecs.append(_strip(vec))
+        return vecs
+
+    return _basis(_syz_order(rank), nvars, rank + len(gens), encode)
+
+
+def syzygies(gens):
     """Generators of the first syzygy module {(a_1..a_m) : sum a_i g_i = 0}."""
     gens, rank, nvars = _prep(gens)
-    order = _syz_order(rank, ring_order)
-    gb = buchberger(_tagged(gens, rank, nvars), order)
-    # the order puts components below ``rank`` first, so an element lives
-    # on the tags alone iff its lead does; only those are decoded
-    eng, reducers, _ = gb._packed
+    # an element lives on the tags alone iff its lead does; only those are
+    # decoded
+    eng, reducers, _ = _tagged(gens, rank, nvars)._packed
     return [FreeModuleVector(eng.decode([(r[0], r[2]), *r[3]], r[2])
                              .components[rank:])
             for r in reducers if r[1] >> eng.cshift >= rank]
+
+
+def module_quotient_by_poly(rel_vecs, g: Polynomial, rank: int, nvars: int):
+    """Generators of (Rel : g) = {v in O^rank : g*v in Rel}: the g e_b parts
+    of the syzygies of (g e_1, .., g e_rank, Rel)."""
+    if not rel_vecs:
+        return []
+    gens = []
+    for b in range(rank):
+        comps = [Polynomial.zero(nvars)] * rank
+        comps[b] = g
+        gens.append(FreeModuleVector(comps))
+    gens.extend(rel_vecs)
+    out = []
+    for s in syzygies(gens):
+        v = FreeModuleVector(s.components[:rank])
+        if not v.is_zero():
+            out.append(v)
+    return out
 
 
 def module_lift(v: FreeModuleVector, gens):
@@ -548,20 +573,17 @@ def module_lift(v: FreeModuleVector, gens):
     if v.rank != rank:
         raise ValueError("rank mismatch")
     m = len(gens)
-    order = _syz_order(rank, DEGREVLEX)
-    gb = buchberger(_tagged(gens, rank, nvars), order)
     zero = Polynomial.zero(nvars)
     padded = FreeModuleVector(list(v.components) + [zero] * m)
-    nf = normal_form(padded, gb)
+    nf = normal_form(padded, _tagged(gens, rank, nvars))
     if any(not nf.components[c].is_zero() for c in range(rank)):
         return None
     return [-nf.components[rank + i] for i in range(m)]
 
 
 def ideal_lift(g: Polynomial, polys):
-    lifted = module_lift(FreeModuleVector.from_polynomial(g),
-                         [FreeModuleVector.from_polynomial(p) for p in polys])
-    return lifted
+    return module_lift(FreeModuleVector.from_polynomial(g),
+                       [FreeModuleVector.from_polynomial(p) for p in polys])
 
 
 # ---------------------------------------------------------------------------
@@ -589,18 +611,12 @@ def ideal_member(g: Polynomial, gb: GroebnerBasis) -> bool:
 
 
 def ideal_quotient(gb: GroebnerBasis, g: Polynomial) -> GroebnerBasis:
-    """(I : g) = {h : h*g in I}, from syzygies of (gens, g)."""
+    """(I : g) = {h : h*g in I}, the rank-1 case of module_quotient_by_poly."""
     if g.is_zero():
         raise ValueError("quotient by the zero polynomial")
     if gb.is_zero_module():
         return GroebnerBasis([], gb.order, 1, gb.nvars)
-    gens = [FreeModuleVector.from_polynomial(p) for p in gb_polys(gb)]
-    gens.append(FreeModuleVector.from_polynomial(g))
-    quots = [s.components[-1] for s in syzygies(gens)]
-    quots = [q for q in quots if not q.is_zero()]
-    if not quots:
-        return GroebnerBasis([], gb.order, 1, gb.nvars)
-    return ideal_gb(quots)
+    return buchberger(module_quotient_by_poly(gb.generators, g, 1, gb.nvars))
 
 
 def gb_equal(a: GroebnerBasis, b: GroebnerBasis) -> bool:
@@ -694,16 +710,14 @@ def graded_min_generators(vectors, weights=None, shifts=None):
     """Minimal homogeneous generating subset, greedily by degree
     (graded Nakayama).  Returns (kept_vectors, degrees)."""
     vectors = list(vectors)
-    kept, degrees, _ = graded_min_indices(
+    kept, degrees = graded_min_indices(
         vectors, [vector_degree(v, weights, shifts) for v in vectors])
     return [vectors[i] for i in kept], degrees
 
 
 def graded_min_indices(vectors, degrees):
     """Positions in ``vectors`` of the subset ``graded_min_generators``
-    keeps, given the degree of each vector, with the kept degrees and the
-    Groebner basis of the module the subset generates (None for no
-    vectors)."""
+    keeps, given the degree of each vector, with the kept degrees."""
     deco = sorted((d, vector_lead_term(v)[1], i)
                   for i, (v, d) in enumerate(zip(vectors, degrees))
                   if not v.is_zero())
@@ -714,4 +728,4 @@ def graded_min_indices(vectors, degrees):
             continue
         kept.append(i)
         gb = buchberger([vectors[k] for k in kept])
-    return kept, [degrees[i] for i in kept], gb
+    return kept, [degrees[i] for i in kept]

@@ -10,8 +10,8 @@ from functools import cached_property
 from math import gcd, lcm
 
 from . import linalg
-from .groebner import (FreeModuleVector, GroebnerBasis, buchberger,
-                       graded_min_indices, ideal_lift, syzygies, vector_degree)
+from .groebner import (FreeModuleVector, graded_min_indices, ideal_lift,
+                       syzygies, vector_degree)
 from .poly import Polynomial, divide_exact
 from .weyl import WeylOperator, apply_op
 
@@ -66,14 +66,13 @@ class DerivationModule:
 
     Each generator is the coefficient vector (a_1..a_n) of a field
     sum a_i d_i; the stored cofactor c satisfies sum a_i d_i(f) = c*f.
-    What is derived from the generators (Groebner basis, first syzygies,
-    grading, minimal generating subset) is computed on first use and kept.
+    What is derived from the generators (first syzygies, grading, minimal
+    generating subset) is computed on first use and kept.
     """
 
     divisor: Polynomial
     generators: list
     cofactors: list
-    _gb: GroebnerBasis | None = field(default=None, repr=False, compare=False)
     _minimal: DerivationModule | None = field(default=None, repr=False,
                                               compare=False)
 
@@ -85,11 +84,6 @@ class DerivationModule:
     def first_syzygies(self) -> list:
         """Generators of the relations among the generators."""
         return syzygies(self.generators) if self.generators else []
-
-    def gb(self) -> GroebnerBasis:
-        if self._gb is None:
-            self._gb = buchberger(self.generators)
-        return self._gb
 
     @cached_property
     def grading(self):
@@ -117,10 +111,8 @@ class DerivationModule:
             _, degrees = self.grading
             if degrees is None:
                 raise ValueError("minimalization needs (quasi-)homogeneous data")
-            kept, _, gb = graded_min_indices(self.generators, degrees)
+            kept, _ = graded_min_indices(self.generators, degrees)
             self._minimal = self.subset(kept)
-            # the kept generators span the module, and reduced bases are unique
-            self._gb = self._minimal._gb = gb
         return self._minimal
 
     def subset(self, indices) -> "DerivationModule":

@@ -11,13 +11,13 @@ eliminating the xi block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .groebner import (FreeModuleVector, GroebnerBasis, buchberger, codim,
-                       default_module_order, gb_equal, gb_polys,
-                       graded_min_generators, ideal_gb, normal_form, syzygies,
-                       eliminate, vector_degree, vector_lead_term)
+                       default_module_order, eliminate, gb_equal, gb_polys,
+                       graded_min_generators, ideal_gb, module_quotient_by_poly,
+                       normal_form, syzygies, vector_degree, vector_lead_term)
 from .logder import DerivationModule
 from .poly import Polynomial, monomials_of_degree
 from .weyl import WeylOperator, symbol, xi_component_vector
@@ -51,23 +51,22 @@ class SymPresentation:
 
     base_dim: int
     module_rank: int
-    relations: list
+    syzygies: list
     gen_degrees: list | None = None
-    _gb: GroebnerBasis | None = field(default=None, repr=False, compare=False)
 
     @property
     def ring_dim(self):
         return self.base_dim + self.module_rank
 
-    def gb(self) -> GroebnerBasis:
-        if self._gb is None:
-            if self.relations:
-                self._gb = buchberger(
-                    [FreeModuleVector.from_polynomial(r) for r in self.relations])
-            else:
-                self._gb = GroebnerBasis([], default_module_order(), 1,
-                                         self.ring_dim)
-        return self._gb
+    @property
+    def relations(self):
+        """The linear forms sum_j a_ij T_j as polynomials in O[T]."""
+        m = self.module_rank
+        tvars = [(0,) * j + (1,) + (0,) * (m - 1 - j) for j in range(m)]
+        return [Polynomial(self.ring_dim, {mono + tvars[j]: c
+                                           for j, a in enumerate(s.components)
+                                           for mono, c in a.terms.items()})
+                for s in self.syzygies]
 
 
 @dataclass
@@ -83,21 +82,8 @@ class ReesKernel:
 
 
 def sym_presentation(dm: DerivationModule) -> SymPresentation:
-    n = dm.nvars
-    m = len(dm.generators)
-    ring = n + m
-    xpos = list(range(n))
-    rels = []
-    for s in dm.first_syzygies:
-        rel = Polynomial.zero(ring)
-        for j, a in enumerate(s.components):
-            if a.is_zero():
-                continue
-            tvar = Polynomial.variable(ring, n + j)
-            rel = rel + _reindex(a, ring, xpos) * tvar
-        if not rel.is_zero():
-            rels.append(rel)
-    return SymPresentation(n, m, rels, gen_degrees=dm.grading[1])
+    return SymPresentation(dm.nvars, len(dm.generators), dm.first_syzygies,
+                           gen_degrees=dm.grading[1])
 
 
 def rees_kernel(dm: DerivationModule) -> ReesKernel:
@@ -127,7 +113,10 @@ def rees_kernel(dm: DerivationModule) -> ReesKernel:
 
 def pi_injectivity_test(sp: SymPresentation, rk: ReesKernel) -> bool:
     """Sym -> Rees is injective iff J = Q as ideals."""
-    return gb_equal(sp.gb(), rk.ideal)
+    rels = sp.relations
+    if not rels:
+        return rk.ideal.is_zero_module()
+    return gb_equal(ideal_gb(rels), rk.ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -143,25 +132,15 @@ def symk_module(sp: SymPresentation, k: int):
     n, m = sp.base_dim, sp.module_rank
     tmonos = monomials_of_degree(m, k)
     index = {t: i for i, t in enumerate(tmonos)}
-    N = len(tmonos)
     zero = Polynomial.zero(n)
-    keep = list(range(n))
     rel_vecs = []
-    decomposed = []
-    for rel in sp.relations:
-        coeffs = {}
-        for mono, c in rel.terms.items():
-            tpart = mono[n:]
-            j = next(i for i, e in enumerate(tpart) if e)
-            coeffs.setdefault(j, {})[mono[:n]] = c
-        decomposed.append({j: Polynomial(n, t) for j, t in coeffs.items()})
     for tm in monomials_of_degree(m, k - 1):
-        for dec in decomposed:
-            comps = [zero] * N
-            for j, cj in dec.items():
-                target = tuple(e + (1 if i == j else 0)
-                               for i, e in enumerate(tm))
-                comps[index[target]] = cj
+        for s in sp.syzygies:
+            # the entry a_j of the syzygy multiplies T^tm * T_j
+            comps = [zero] * len(tmonos)
+            for j, a in enumerate(s.components):
+                if not a.is_zero():
+                    comps[index[tm[:j] + (tm[j] + 1,) + tm[j + 1:]]] = a
             v = FreeModuleVector(comps)
             if not v.is_zero():
                 rel_vecs.append(v)
@@ -170,24 +149,6 @@ def symk_module(sp: SymPresentation, k: int):
         shifts = [sum(d * e for d, e in zip(sp.gen_degrees, t))
                   for t in tmonos]
     return tmonos, rel_vecs, shifts
-
-
-def module_quotient_by_poly(rel_vecs, g: Polynomial, rank: int, nvars: int):
-    """Generators of (Rel : g) = {v in O^rank : g*v in Rel}."""
-    if not rel_vecs:
-        return []
-    gens = []
-    for b in range(rank):
-        comps = [Polynomial.zero(nvars)] * rank
-        comps[b] = g
-        gens.append(FreeModuleVector(comps))
-    gens.extend(rel_vecs)
-    out = []
-    for s in syzygies(gens):
-        v = FreeModuleVector(s.components[:rank])
-        if not v.is_zero():
-            out.append(v)
-    return out
 
 
 @dataclass
@@ -203,18 +164,15 @@ def torsion_test_symk(sp: SymPresentation, k: int) -> TorsionReport:
     of the annihilated element, smallest lead first, scaled monic."""
     n = sp.base_dim
     tmonos, rel_vecs, _ = symk_module(sp, k)
-    N = len(tmonos)
-    if rel_vecs:
-        relgb = buchberger(rel_vecs)
-    else:
-        relgb = None
+    if not rel_vecs:
+        return TorsionReport(k, True, [])
+    relgb = buchberger(rel_vecs)
     witnesses = []
     for i in range(n):
         xi = Polynomial.variable(n, i)
-        quot = module_quotient_by_poly(rel_vecs, xi, N, n)
         best = None
-        for v in quot:
-            nf = normal_form(v, relgb) if relgb is not None else v
+        for v in module_quotient_by_poly(rel_vecs, xi, len(tmonos), n):
+            nf = normal_form(v, relgb)
             if nf.is_zero():
                 continue
             cand = _canonical_vector(nf)
@@ -299,9 +257,6 @@ def grade_criterion(dm: DerivationModule, dimZ: int) -> GradeCertificate:
             False, f"first syzygy module needs {len(kept)} generators, not 1",
             required=required)
     vec = kept[0]
-    if syzygies([vec]):
-        return GradeCertificate(False, "syzygy vector has relations",
-                                required=required)
     entries = [p for p in vec.components if not p.is_zero()]
     igb = ideal_gb(entries)
     grade = codim(igb)

@@ -235,3 +235,28 @@ def test_nvars_below_one_is_a_usage_error(n):
     assert code == 2 and out == ""
     assert err.startswith("error: ")
     assert invoke_json(["logder", "-n", "2", "x"])["input"]["nvars"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["euler", "(" * 200 + "x" + ")" * 200],
+    ["euler", "x*" + "-" * 3000 + "x"],
+    ["v0-member", "-f", "x*y", "-P", "(" * 200 + "dx" + ")" * 200, "-k", "0"],
+    ["v0-member", "-f", "x*y", "-P", "x*" + "-" * 3000 + "dx", "-k", "0"],
+])
+def test_deep_nesting_is_a_parse_error(argv):
+    code, out, err = invoke(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: expression nested too deeply (line 1")
+    # the parser still works afterwards
+    assert invoke_json(["euler", "((x))"])["euler"] == "x*dx"
+
+
+def test_negative_dimz_is_a_usage_error(tmp_path):
+    code, out, err = invoke(["criterion", "x^2*z+y^3", "--dimZ=-2", "--json"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "dimZ" in err
+    cfg = tmp_path / "logdiv.cfg"
+    cfg.write_text("dimZ=-1\n")
+    code, out, err = invoke(["--config", str(cfg), "criterion", "x^2*z+y^3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "dimZ" in err
