@@ -82,6 +82,8 @@ def criterion_certificate(f, dimZ, symk_bound=2, route="both"):
     resolution, grade bound, and degreewise torsion evidence."""
     if dimZ < 0:
         raise ValueError(f"dimZ must be at least 0, got {dimZ}")
+    if symk_bound < 1:
+        raise ValueError(f"symk_bound must be at least 1, got {symk_bound}")
     chi = logder_mod.euler_field(f)
     dm = logder_mod.log_derivations(f)
     freeness = logder_mod.saito_freeness_test(dm)

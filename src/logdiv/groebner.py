@@ -32,7 +32,8 @@ from heapq import heapify, heappop, heappush
 from math import gcd, inf, lcm
 from operator import mul
 
-from .poly import DEGREVLEX, BlockElim, ModuleOrder, Polynomial, SyzElimOrder, TopOrder
+from .poly import (DEGREVLEX, BlockElim, LastVariableRevlex, ModuleOrder,
+                   Polynomial, SyzElimOrder, TopOrder)
 
 SLOT_BITS = 8
 """Initial width of an exponent slot, guard bit included (exponents up to
@@ -458,6 +459,27 @@ def buchberger(gens, order: ModuleOrder | None = None) -> GroebnerBasis:
     gens = [v for v in gens if not v.is_zero()]
     return _basis(order or default_module_order(), nvars, rank,
                   lambda eng: [eng.ivec(v) for v in gens])
+
+
+@lru_cache(maxsize=64)
+def _last_variable_order(weights, shifts, i):
+    return TopOrder(LastVariableRevlex(weights, i), shifts)
+
+
+def nonzerodivisor_certified(gens, i, weights=None, shifts=None) -> bool:
+    """True if no lead of the reduced basis of <gens> under the x_i-last
+    order (``LastVariableRevlex`` with component shifts) involves x_i; then
+    x_i is a nonzerodivisor on O^rank/<gens>.  If x_i*r lay in the
+    submodule for a nonzero normal form r, some lead would divide
+    x_i*lead(r), hence lead(r).  For gens graded by the weights (all ones
+    if None) and shifts the converse holds too (Bayer-Stillman)."""
+    gens, rank, nvars = _prep(gens)
+    weights = (1,) * nvars if weights is None else tuple(weights)
+    shifts = None if shifts is None else tuple(shifts)
+    gb = buchberger(gens, _last_variable_order(weights, shifts, i))
+    eng, reducers, _ = gb._packed
+    field = eng.emax << (i * eng.slot)
+    return not any(r[1] & field for r in reducers)
 
 
 def vector_lead_term(v: FreeModuleVector, order: ModuleOrder | None = None):

@@ -114,6 +114,25 @@ class BlockElim(TermOrder):
         return (sum(e), *(-x for x in reversed(e)), sum(k), *(-x for x in reversed(k)))
 
 
+class LastVariableRevlex(TermOrder):
+    """Weighted degree, then reverse lexicographic with x_last the smallest
+    variable and the others as in degrevlex.  Within one degree a monomial
+    divisible by x_last is below every monomial that is not, so x_last
+    divides the lead of a homogeneous element iff it divides the element
+    (Bayer and Stillman, 1987)."""
+
+    def __init__(self, weights, last):
+        self.weights = tuple(weights)
+        self.last = last
+        self.rest = tuple(j for j in reversed(range(len(self.weights)))
+                          if j != last)
+        self.name = f"revlex(w={self.weights},last={last})"
+
+    def key(self, m):
+        return (sum(w * e for w, e in zip(self.weights, m)), -m[self.last],
+                *(-m[j] for j in self.rest))
+
+
 DEGREVLEX = Degrevlex()
 LEX = Lex()
 

@@ -17,7 +17,8 @@ from itertools import combinations_with_replacement
 from .groebner import (FreeModuleVector, GroebnerBasis, buchberger, codim,
                        default_module_order, eliminate, gb_equal, gb_polys,
                        graded_min_generators, ideal_gb, module_quotient_by_poly,
-                       normal_form, syzygies, vector_degree, vector_lead_term)
+                       nonzerodivisor_certified, normal_form, syzygies,
+                       vector_degree, vector_lead_term)
 from .logder import DerivationModule
 from .poly import Polynomial, monomials_of_degree
 from .weyl import WeylOperator, symbol, xi_component_vector
@@ -53,6 +54,7 @@ class SymPresentation:
     module_rank: int
     syzygies: list
     gen_degrees: list | None = None
+    weights: tuple | None = None
 
     @property
     def ring_dim(self):
@@ -83,7 +85,7 @@ class ReesKernel:
 
 def sym_presentation(dm: DerivationModule) -> SymPresentation:
     return SymPresentation(dm.nvars, len(dm.generators), dm.first_syzygies,
-                           gen_degrees=dm.grading[1])
+                           gen_degrees=dm.grading[1], weights=dm.grading[0])
 
 
 def rees_kernel(dm: DerivationModule) -> ReesKernel:
@@ -160,15 +162,22 @@ class TorsionReport:
 
 def torsion_test_symk(sp: SymPresentation, k: int) -> TorsionReport:
     """Degreewise torsion of Sym^k: for every variable x_i, look for a
-    nonzero class killed by x_i.  Witnesses are canonical: the normal form
-    of the annihilated element, smallest lead first, scaled monic."""
+    nonzero class killed by x_i.  Variables the leads of an x_i-last basis
+    prove to be nonzerodivisors are skipped; for the others the colon
+    (Rel : x_i) is computed.  Witnesses are canonical: the normal form of
+    the annihilated element, smallest lead first, scaled monic."""
     n = sp.base_dim
-    tmonos, rel_vecs, _ = symk_module(sp, k)
+    tmonos, rel_vecs, shifts = symk_module(sp, k)
     if not rel_vecs:
         return TorsionReport(k, True, [])
-    relgb = buchberger(rel_vecs)
+    relgb = None
     witnesses = []
     for i in range(n):
+        # the colon finds a witness only where x_i is a zero divisor
+        if nonzerodivisor_certified(rel_vecs, i, sp.weights, shifts):
+            continue
+        if relgb is None:
+            relgb = buchberger(rel_vecs)
         xi = Polynomial.variable(n, i)
         best = None
         for v in module_quotient_by_poly(rel_vecs, xi, len(tmonos), n):

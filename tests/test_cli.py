@@ -260,3 +260,15 @@ def test_negative_dimz_is_a_usage_error(tmp_path):
     code, out, err = invoke(["--config", str(cfg), "criterion", "x^2*z+y^3"])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "dimZ" in err
+
+
+def test_symk_bound_below_one_is_a_usage_error(tmp_path):
+    code, out, err = invoke(["criterion", "x^3+y^3+z^3", "--symk-bound", "-3",
+                             "--json"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "symk_bound" in err
+    cfg = tmp_path / "logdiv.cfg"
+    cfg.write_text("symk_bound=-1\n")
+    code, out, err = invoke(["--config", str(cfg), "criterion", "x^3+y^3+z^3"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "symk_bound" in err
