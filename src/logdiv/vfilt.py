@@ -13,6 +13,7 @@ finite-dimensional exact linear algebra problem.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
 from math import lcm
 
@@ -54,26 +55,36 @@ class VMembershipQuery:
         return list(_conditions(self.divisor.nvars, self.order, self.level))
 
 
+def _power_table(f):
+    """p -> f^p, each power built once by repeated multiplication."""
+    powers = [Polynomial.one(f.nvars)]
+    def fpow(p):
+        while len(powers) <= p:
+            powers.append(powers[-1] * f)
+        return powers[p]
+    return fpow
+
+
 def v_membership(query: VMembershipQuery) -> bool:
+    """Decide P in V_k.  If f(0) != 0, each f^p is a unit at the origin.
+    Else a nonzero multiple of f^p has order >= p * ord(f) there, so a
+    smaller image fails before f^p is formed: p <= deg g at any level k."""
     f = query.divisor
     P = query.operator
-    if P.is_zero():
+    if P.is_zero() or f.constant_term():
         return True
     n = f.nvars
     homog = f.is_homogeneous()
-    powers = {0: Polynomial.one(n)}
-
-    def fpow(p):
-        if p not in powers:
-            powers[p] = fpow(p - 1) * f
-        return powers[p]
-
+    ford = min(map(mono_deg, f.terms))
+    fpow = _power_table(f)
     gbs = {}
     for alpha, l in query.conditions():
         p = l - query.level
         g = apply_op(P, Polynomial.monomial(n, alpha) * fpow(l))
         if g.is_zero():
             continue
+        if min(map(mono_deg, g.terms)) < p * ford:
+            return False
         if homog:
             if divide_exact(g, fpow(p)) is None:
                 return False
@@ -100,7 +111,6 @@ class OperatorCoordinates:
 
     def __init__(self, nvars, d, w):
         self.nvars = nvars
-        self.d = d
         self.w = w
         key = DEGREVLEX.key
         betas = []
@@ -143,33 +153,30 @@ class OperatorCoordinates:
 
 @dataclass
 class GradedOperatorSpace:
+    """A (d, w) piece, held as the canonical rref of its coordinate vectors."""
     divisor: Polynomial
     order_bound: int
     weight: int
-    basis: list
     coords: OperatorCoordinates
-    _rref: list = field(repr=False, default=None)
-    _pivots: list = field(repr=False, default=None)
+    rows: list = field(repr=False)
+    pivots: list = field(repr=False)
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self.rows)
 
-    def residual(self, op: WeylOperator):
-        vec = self.coords.op_to_vec(op)
-        return linalg.residual(vec, self._rref or [], self._pivots or [])
+    @cached_property
+    def basis(self):
+        return [self.coords.vec_to_op(row) for row in self.rows]
 
     def contains(self, op: WeylOperator) -> bool:
-        return all(c == 0 for c in self.residual(op))
+        vec = self.coords.op_to_vec(op)
+        return not any(linalg.residual(vec, self.rows, self.pivots))
 
 
 def _space_from_vectors(f, d, w, coords, vectors) -> GradedOperatorSpace:
-    if vectors:
-        red, pivots = linalg.rref(vectors, len(coords))
-    else:
-        red, pivots = [], []
-    basis = [coords.vec_to_op(row) for row in red]
-    return GradedOperatorSpace(f, d, w, basis, coords, red, pivots)
+    return GradedOperatorSpace(f, d, w, coords,
+                               *linalg.rref(vectors, len(coords)))
 
 
 class NonHomogeneousError(ValueError):
@@ -191,16 +198,15 @@ def _condition_kernel(f, coords, d, k):
     coordinate columns reduced against the rref of the f^p multiples.  The
     reduction runs in integers.  Each level block is scaled as a whole by
     the common denominator of that rref and of the images; scaling rows
-    leaves the kernel alone."""
+    leaves the kernel alone.
+
+    Returns the rref of the kernel and its pivots from one elimination.
+    With the columns reversed, the kernel vector of free column c, read in
+    the original order, has its 1 at c, other entries only at pivot columns
+    right of c, and zeros at the other free columns: an rref."""
     n = f.nvars
     e = f.degree()
-    powers = {0: Polynomial.one(n)}
-
-    def fpow(p):
-        if p not in powers:
-            powers[p] = fpow(p - 1) * f
-        return powers[p]
-
+    fpow = _power_table(f)
     rows = []
     for alpha, l in _conditions(n, d, k):
         p = l - k
@@ -212,10 +218,8 @@ def _condition_kernel(f, coords, d, k):
         for beta, _ in coords.cols:
             if beta not in dvals:
                 dvals[beta] = g.partial(beta).terms
-        scale = 1
-        for terms in dvals.values():
-            for c in terms.values():
-                scale = lcm(scale, c.denominator)
+        scale = lcm(*(c.denominator for terms in dvals.values()
+                      for c in terms.values()))
         dvals = {beta: [(dm, c.numerator * (scale // c.denominator))
                         for dm, c in terms.items()]
                  for beta, terms in dvals.items()}
@@ -234,10 +238,7 @@ def _condition_kernel(f, coords, d, k):
         sred, spiv = linalg.rref(sub, len(tmonos)) if sub else ([], [])
         # At a pivot column the reduction coefficient is the image's own
         # entry there, so the integer rows den * sred do the whole job.
-        den = 1
-        for row in sred:
-            for c in row:
-                den = lcm(den, c.denominator)
+        den = lcm(*(c.denominator for row in sred for c in row))
         pivot_of = {col: i for i, col in enumerate(spiv)}
         reducers = [[(pos, c.numerator * (den // c.denominator))
                      for pos, c in enumerate(row)
@@ -254,8 +255,10 @@ def _condition_kernel(f, coords, d, k):
                     for pos, s in reducers[i]:
                         res[pos] -= c * s
             residuals.append(res)
-        rows.extend(row for row in zip(*residuals) if any(row))
-    return linalg.kernel_basis(rows, len(coords))
+        rows.extend(row[::-1] for row in zip(*residuals) if any(row))
+    kernel = [v[::-1] for v in linalg.kernel_basis(rows, len(coords))[::-1]]
+    # entries left of a row's leading 1 are zero, so index finds the pivot
+    return kernel, [v.index(1) for v in kernel]
 
 
 def v0_graded_basis(f: Polynomial, d: int, w: int) -> GradedOperatorSpace:
@@ -270,16 +273,15 @@ def vk_graded_basis(f: Polynomial, k: int, d: int, w: int) -> GradedOperatorSpac
     _require_homogeneous(f)
     if d < 0:
         raise ValueError("order bound must be nonnegative")
-    n = f.nvars
-    e = f.degree()
-    coords = OperatorCoordinates(n, d, w)
+    coords = OperatorCoordinates(f.nvars, d, w)
     if k < 0:
-        inner = vk_graded_basis(f, 0, d, w + k * e)
-        fk = f ** (-k)
-        vectors = [coords.op_to_vec(op.left_mul(fk)) for op in inner.basis]
+        inner = vk_graded_basis(f, 0, d, w + k * f.degree()).basis
+        # form f^(-k) only for a nonempty inner piece: it then fits the box
+        fk = f ** (-k) if inner else None
+        vectors = [coords.op_to_vec(op.left_mul(fk)) for op in inner]
         return _space_from_vectors(f, d, w, coords, vectors)
-    vectors = _condition_kernel(f, coords, d, k)
-    return _space_from_vectors(f, d, w, coords, vectors)
+    return GradedOperatorSpace(f, d, w, coords,
+                               *_condition_kernel(f, coords, d, k))
 
 
 # ---------------------------------------------------------------------------
@@ -341,20 +343,17 @@ def compare_v0(f: Polynomial, d: int, w: int,
     the subspace and scaled to leading coefficient 1)."""
     v0 = vk_graded_basis(f, 0, d, w)
     gen = logder_generated_graded(f, d, w, dm)
-    for op in gen.basis:
-        if not v0.contains(op):
+    for row in gen.rows:
+        if any(linalg.residual(row, v0.rows, v0.pivots)):
             raise AssertionError(
                 "generated subalgebra escaped V_0: engine inconsistency")
     if gen.dim == v0.dim:
         return V0Comparison(d, w, v0.dim, gen.dim, True, None)
-    witness = None
-    for op in v0.basis:
-        res = gen.residual(op)
-        if any(res):
-            lead = next(c for c in res if c)
-            res = [c / lead for c in res]
-            witness = v0.coords.vec_to_op(res)
-            break
+    # gen is a proper subspace of v0, so some row of v0 is outside it
+    res = next(filter(any, (linalg.residual(row, gen.rows, gen.pivots)
+                            for row in v0.rows)))
+    lead = next(filter(None, res))
+    witness = v0.coords.vec_to_op([c / lead for c in res])
     return V0Comparison(d, w, v0.dim, gen.dim, False, witness)
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
@@ -272,3 +273,26 @@ def test_symk_bound_below_one_is_a_usage_error(tmp_path):
     code, out, err = invoke(["--config", str(cfg), "criterion", "x^3+y^3+z^3"])
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "symk_bound" in err
+
+
+@pytest.mark.parametrize("f, P, k, member", [
+    ("x+y", "dx", -2000, False),
+    ("x+y", "dx", -900, False),
+    ("1+x+y^2", "dx", -300, True),
+    # small levels keep their answers
+    ("1+x+y^2", "dx", -3, True),
+    ("x+y", "(x+y)^3*dx", -2, True),
+])
+def test_v0_member_at_very_negative_levels(f, P, k, member):
+    start = time.perf_counter()
+    data = invoke_json(["v0-member", "-f", f, "-P", P, "-k", str(k)])
+    assert time.perf_counter() - start < 2
+    assert data["member"] is member
+
+
+def test_vk_basis_far_below_zero_is_empty_and_fast():
+    start = time.perf_counter()
+    data = invoke_json(["vk-basis", "-f", "x+y", "-k", "-100000", "-d", "0",
+                        "-w", "0"])
+    assert time.perf_counter() - start < 2
+    assert data["dim"] == 0 and data["basis"] == []
