@@ -14,7 +14,7 @@ from . import logder as logder_mod
 from . import symalg as symalg_mod
 from . import vfilt as vfilt_mod
 from .grammar import parse_polynomial
-from .groebner import FreeModuleVector, buchberger, gb_equal, in_submodule
+from .groebner import FreeModuleVector, buchberger, gb_equal, module_lift
 from .poly import Polynomial, format_polynomial
 from .weyl import format_operator
 
@@ -30,24 +30,24 @@ def format_vector(v) -> list:
 
 def _split_complement(dm, chi):
     """Der(log f) on minimal generators A with O*chi + <A> = Der(log f)
-    direct, or None."""
+    direct, or None; A drops the first minimal generator g_j that allows.
+
+    With chi = sum c_i g_i, chi and A span iff c_j is a unit (graded
+    Nakayama); then a syzygy s of the g_i is one of (chi, A) with
+    chi-coefficient s_j / c_j, so the sum is direct iff all s_j = 0."""
     try:
         mini = dm.minimalized()
     except ValueError:
         return None
     gens = mini.generators
-    chi_vec = FreeModuleVector(chi.first_order_part())
-    for drop in range(len(gens)):
-        keep = [i for i in range(len(gens)) if i != drop]
-        cand = [gens[i] for i in keep]
-        if not cand:
-            continue
-        # chi and cand lie in Der(log f), which the minimal generators
-        # span, so they span it iff they reach the dropped generator
-        if not in_submodule(gens[drop], buchberger([chi_vec] + cand)):
-            continue
-        if logder_mod.split_check(mini, chi, a_generators=cand):
-            return mini.subset(keep)
+    if len(gens) < 2:
+        return None
+    # chi(f) = f, so chi lies in Der(log f) and the lift exists
+    lift = module_lift(FreeModuleVector(chi.first_order_part()), gens)
+    for drop, c in enumerate(lift):
+        if (c.constant_term() and
+                all(s.components[drop].is_zero() for s in mini.first_syzygies)):
+            return mini.subset([i for i in range(len(gens)) if i != drop])
     return None
 
 

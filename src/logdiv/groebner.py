@@ -32,6 +32,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, inf, lcm
 from operator import mul
 
+from .linalg import rref
 from .poly import (DEGREVLEX, BlockElim, LastVariableRevlex, ModuleOrder,
                    Polynomial, SyzElimOrder, TopOrder)
 
@@ -739,15 +740,20 @@ def graded_min_generators(vectors, weights=None, shifts=None):
 
 def graded_min_indices(vectors, degrees):
     """Positions in ``vectors`` of the subset ``graded_min_generators``
-    keeps, given the degree of each vector, with the kept degrees."""
-    deco = sorted((d, vector_lead_term(v)[1], i)
-                  for i, (v, d) in enumerate(zip(vectors, degrees))
-                  if not v.is_zero())
-    kept = []
-    gb = None
-    for _, _, i in deco:
-        if gb is not None and in_submodule(vectors[i], gb):
-            continue
-        kept.append(i)
-        gb = buchberger([vectors[k] for k in kept])
+    keeps, given the degree of each vector, with the kept degrees.
+
+    In the order (degree, lead, index) v_j is dropped iff it lies in
+    <v_1..v_(j-1)>, iff some syzygy has its last constant entry at j (an
+    entry between vectors of different degree has positive degree): the
+    pivots of the reversed-column rref of the syzygies' constant terms."""
+    ranked = [i for _, _, i in sorted(
+        (d, vector_lead_term(v)[1], i)
+        for i, (v, d) in enumerate(zip(vectors, degrees)) if not v.is_zero())]
+    if not ranked:
+        return [], []
+    m = len(ranked)
+    consts = [[s.components[j].constant_term() for j in reversed(range(m))]
+              for s in syzygies([vectors[i] for i in ranked])]
+    dropped = {m - 1 - p for p in rref(consts, m)[1]}
+    kept = [i for j, i in enumerate(ranked) if j not in dropped]
     return kept, [degrees[i] for i in kept]

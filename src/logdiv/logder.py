@@ -213,10 +213,9 @@ def saito_freeness_test(dm: DerivationModule) -> FreenessVerdict:
 
 
 def split_check(dm: DerivationModule, chi: WeylOperator,
-                a_generators=None) -> bool:
+                a_generators) -> bool:
     """Is O*chi + <A> a direct sum?  True iff no syzygy of (chi, A) has a
-    nonzero chi-coefficient; A defaults to the generators of dm that differ
-    from chi."""
+    nonzero chi-coefficient."""
     f = dm.divisor
     unit_betas = {tuple(int(i == j) for j in range(dm.nvars))
                   for i in range(dm.nvars)}
@@ -226,8 +225,6 @@ def split_check(dm: DerivationModule, chi: WeylOperator,
     val = apply_op(chi, f)
     if not val.is_zero() and divide_exact(val, f) is None:
         raise ValueError("chi is not logarithmic along f")
-    if a_generators is None:
-        a_generators = [g for g in dm.generators if g != chi_vec]
     syz = syzygies([chi_vec] + list(a_generators))
     return all(s.components[0].is_zero() for s in syz)
 

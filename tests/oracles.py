@@ -2,13 +2,17 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 multiplication runs on sorted term lists, linear algebra is a plain
-Fraction Gaussian elimination, and the graded-piece dimension oracle uses
+Fraction Gaussian elimination, the graded-piece dimension oracle uses
 single-divisor polynomial division instead of the subspace row reductions
-in the main library.
+in the main library, and graded minimal generators come from a search of
+Groebner bases instead of one syzygy computation.
 """
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
+from logdiv.groebner import buchberger, in_submodule, vector_lead_term
 from logdiv.poly import Polynomial, divmod_single, mono_deg, monomials_of_degree
 
 
@@ -41,6 +45,24 @@ def rand_homog_poly(rng, nvars, deg, max_terms=4) -> Polynomial:
         m = monos[rng.randrange(len(monos))]
         terms[m] = terms.get(m, Fraction(0)) + rng.randint(-3, 3)
     return Polynomial(nvars, terms)
+
+
+def planes(seed, n=3, m=5):
+    """Product of m integer linear forms in n variables, coefficients in
+    [-2, 2], in general position (every n of them independent)."""
+    rng = random.Random(seed)
+    forms = []
+    while len(forms) < m:
+        c = [rng.randint(-2, 2) for _ in range(n)]
+        k = min(len(forms), n - 1)
+        if all(gauss_rank([c, *rest], n) == k + 1
+               for rest in combinations(forms, k)):
+            forms.append(c)
+    f = Polynomial.one(n)
+    for c in forms:
+        f = f * sum((Polynomial.variable(n, i) * a for i, a in enumerate(c)),
+                    Polynomial.zero(n))
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -225,3 +247,24 @@ def torsion_class_exists_at_degree(rel_vecs, rank, nvars, var, d):
     rel_lo_dim = gauss_rank(rel_lo, ncols_dom)
     # Rel_d always sits inside the kernel; strict excess is a torsion class
     return kernel_dim > rel_lo_dim
+
+
+# ---------------------------------------------------------------------------
+# graded minimal generators by a Groebner search
+# ---------------------------------------------------------------------------
+
+def greedy_min_indices(vectors, degrees):
+    """The subset graded Nakayama keeps, found by search: in the order
+    (degree, lead, index), keep each vector that is not in the submodule
+    the kept ones generate, with one fresh basis per kept vector."""
+    deco = sorted((d, vector_lead_term(v)[1], i)
+                  for i, (v, d) in enumerate(zip(vectors, degrees))
+                  if not v.is_zero())
+    kept = []
+    gb = None
+    for _, _, i in deco:
+        if gb is not None and in_submodule(vectors[i], gb):
+            continue
+        kept.append(i)
+        gb = buchberger([vectors[k] for k in kept])
+    return kept, [degrees[i] for i in kept]

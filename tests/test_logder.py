@@ -212,7 +212,7 @@ def test_split_check_rejects_non_logarithmic():
     arr = generic_dn(3)
     dm = arr.full_module()
     with pytest.raises(ValueError):
-        split_check(dm, parse_operator("dx", 3))
+        split_check(dm, parse_operator("dx", 3), a_generators=arr.eta_list())
 
 
 def test_first_syzygies_are_computed_on_first_read(monkeypatch):
@@ -259,12 +259,17 @@ def _general_position_planes(seed, count):
 
 @pytest.mark.parametrize(
     "f", [generic_dn(n).f for n in (3, 4, 5)] +
-    [_general_position_planes(seed, 5) for seed in range(3)],
-    ids=["d3", "d4", "d5", "planes0", "planes1", "planes2"])
+    [_general_position_planes(seed, 5) for seed in range(3)] +
+    [P("x*y*z*(x+y+z)", 4), P("x^5+y^3+z^2", 3), P("x*y*z*(x+y)*(y+z)", 3)],
+    ids=["d3", "d4", "d5", "planes0", "planes1", "planes2", "xyz(x+y+z)-n4",
+         "brieskorn", "nongeneric"])
 def test_split_complement_membership_matches_module_equality(f):
-    """chi and the other minimal generators span Der(log f) exactly when
-    they reach the dropped one; the search that tests this by membership
-    picks the complement the test by module equality picks."""
+    """A brute-force search is the oracle: drop each minimal generator in
+    turn, test by module equality whether chi and the others span
+    Der(log f) and by split_check whether the sum is direct.
+    ``_split_complement``, which reads the lift of chi and the syzygies of
+    the minimal generators instead, returns the first complement found.
+    Membership of the dropped generator agrees with module equality."""
     dm = log_derivations(f)
     chi = euler_field(f)
     chi_vec = FreeModuleVector(chi.first_order_part())

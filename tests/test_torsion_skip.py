@@ -4,9 +4,7 @@ with dense linear algebra in low degrees, and ``torsion_test_symk``
 reports what the colon for every variable reports, witness for witness."""
 
 import dataclasses
-import random
 from functools import cache
-from itertools import combinations
 
 import pytest
 
@@ -21,28 +19,10 @@ from logdiv.poly import DEGREVLEX, LastVariableRevlex, Polynomial
 from logdiv.symalg import (TorsionReport, sym_presentation, symk_module,
                            torsion_test_symk)
 
-from oracles import gauss_rank, torsion_class_exists_at_degree
+from oracles import planes, torsion_class_exists_at_degree
 
 # seeds whose five planes have a split route; both routes are tested
 PLANE_SEEDS = (4, 5, 14, 16, 27, 50)
-
-
-def planes(seed, n=3, m=5):
-    """Product of m integer linear forms in n variables, coefficients in
-    [-2, 2], in general position (every n of them independent)."""
-    rng = random.Random(seed)
-    forms = []
-    while len(forms) < m:
-        c = [rng.randint(-2, 2) for _ in range(n)]
-        k = min(len(forms), n - 1)
-        if all(gauss_rank([c, *rest], n) == k + 1
-               for rest in combinations(forms, k)):
-            forms.append(c)
-    f = Polynomial.one(n)
-    for c in forms:
-        f = f * sum((Polynomial.variable(n, i) * a for i, a in enumerate(c)),
-                    Polynomial.zero(n))
-    return f
 
 
 def _split(f):
