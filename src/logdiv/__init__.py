@@ -3,7 +3,7 @@ and the V-filtration along a divisor."""
 
 from .poly import (DEGREVLEX, LEX, BlockElim, Degrevlex, Lex, ModuleOrder,
                    Polynomial, PotOrder, SyzElimOrder, TermOrder, TopOrder,
-                   divide_exact, divmod_single)
+                   divide_exact)
 from .grammar import ParseError, parse_operator, parse_polynomial
 from .weyl import (WeylOperator, affine_transform, apply_op, commutator,
                    compose, symbol)

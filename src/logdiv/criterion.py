@@ -14,7 +14,7 @@ from . import logder as logder_mod
 from . import symalg as symalg_mod
 from . import vfilt as vfilt_mod
 from .grammar import parse_polynomial
-from .groebner import FreeModuleVector, buchberger, gb_equal, module_lift
+from .groebner import FreeModuleVector, buchberger, gb_equal, lift_and_syzygies
 from .poly import Polynomial, format_polynomial
 from .weyl import format_operator
 
@@ -43,10 +43,10 @@ def _split_complement(dm, chi):
     if len(gens) < 2:
         return None
     # chi(f) = f, so chi lies in Der(log f) and the lift exists
-    lift = module_lift(FreeModuleVector(chi.first_order_part()), gens)
+    lift, syz = lift_and_syzygies(FreeModuleVector(chi.first_order_part()),
+                                  gens)
     for drop, c in enumerate(lift):
-        if (c.constant_term() and
-                all(s.components[drop].is_zero() for s in mini.first_syzygies)):
+        if c.constant_term() and all(s.components[drop].is_zero() for s in syz):
             return mini.subset([i for i in range(len(gens)) if i != drop])
     return None
 
@@ -84,6 +84,8 @@ def criterion_certificate(f, dimZ, symk_bound=2, route="both"):
         raise ValueError(f"dimZ must be at least 0, got {dimZ}")
     if symk_bound < 1:
         raise ValueError(f"symk_bound must be at least 1, got {symk_bound}")
+    if route not in ("both", "ann", "split"):
+        raise ValueError(f"route must be both, ann or split, got {route!r}")
     chi = logder_mod.euler_field(f)
     dm = logder_mod.log_derivations(f)
     freeness = logder_mod.saito_freeness_test(dm)

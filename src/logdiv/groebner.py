@@ -559,15 +559,19 @@ def _tagged(gens, rank, nvars):
     return _basis(_syz_order(rank), nvars, rank + len(gens), encode)
 
 
-def syzygies(gens):
-    """Generators of the first syzygy module {(a_1..a_m) : sum a_i g_i = 0}."""
-    gens, rank, nvars = _prep(gens)
+def _tag_syzygies(tagged, rank):
     # an element lives on the tags alone iff its lead does; only those are
     # decoded
-    eng, reducers, _ = _tagged(gens, rank, nvars)._packed
+    eng, reducers, _ = tagged._packed
     return [FreeModuleVector(eng.decode([(r[0], r[2]), *r[3]], r[2])
                              .components[rank:])
             for r in reducers if r[1] >> eng.cshift >= rank]
+
+
+def syzygies(gens):
+    """Generators of the first syzygy module {(a_1..a_m) : sum a_i g_i = 0}."""
+    gens, rank, nvars = _prep(gens)
+    return _tag_syzygies(_tagged(gens, rank, nvars), rank)
 
 
 def module_quotient_by_poly(rel_vecs, g: Polynomial, rank: int, nvars: int):
@@ -589,19 +593,33 @@ def module_quotient_by_poly(rel_vecs, g: Polynomial, rank: int, nvars: int):
     return out
 
 
+def _tag_lift(v, tagged, rank):
+    m = tagged.rank - rank
+    padded = FreeModuleVector(list(v.components) +
+                              [Polynomial.zero(tagged.nvars)] * m)
+    nf = normal_form(padded, tagged)
+    if any(not nf.components[c].is_zero() for c in range(rank)):
+        return None
+    return [-nf.components[rank + i] for i in range(m)]
+
+
+def lift_and_syzygies(v: FreeModuleVector, gens):
+    """``module_lift(v, gens)`` and ``syzygies(gens)``, read off one tagged
+    basis."""
+    gens, rank, nvars = _prep(gens)
+    if v.rank != rank:
+        raise ValueError("rank mismatch")
+    tagged = _tagged(gens, rank, nvars)
+    return _tag_lift(v, tagged, rank), _tag_syzygies(tagged, rank)
+
+
 def module_lift(v: FreeModuleVector, gens):
     """Coefficients (q_1..q_m) with v = sum q_i g_i, or None if v is not in
     the submodule."""
     gens, rank, nvars = _prep(gens)
     if v.rank != rank:
         raise ValueError("rank mismatch")
-    m = len(gens)
-    zero = Polynomial.zero(nvars)
-    padded = FreeModuleVector(list(v.components) + [zero] * m)
-    nf = normal_form(padded, _tagged(gens, rank, nvars))
-    if any(not nf.components[c].is_zero() for c in range(rank)):
-        return None
-    return [-nf.components[rank + i] for i in range(m)]
+    return _tag_lift(v, _tagged(gens, rank, nvars), rank)
 
 
 def ideal_lift(g: Polynomial, polys):

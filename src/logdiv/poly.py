@@ -21,15 +21,6 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(b: Mono, a: Mono) -> Mono:
-    # caller guarantees a | b
-    return tuple(x - y for x, y in zip(b, a))
-
-
 def mono_deg(a: Mono) -> int:
     return sum(a)
 
@@ -431,45 +422,15 @@ class Polynomial:
 # division
 # ---------------------------------------------------------------------------
 
-def divmod_single(g: Polynomial, h: Polynomial, order: TermOrder = DEGREVLEX):
-    """Divide g by a single polynomial h: returns (q, r) with g = q*h + r
-    where no term of r is divisible by the leading monomial of h.  Since a
-    single polynomial is a Groebner basis of its principal ideal, r is the
-    unique normal form and r = 0 iff h divides g exactly."""
+def divide_exact(g: Polynomial, h: Polynomial):
+    """Exact quotient g / h, or None if h does not divide g: the Groebner
+    engine's lift of g onto the principal ideal (h), unique when it exists."""
     if h.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     g._check(h)
-    key = order.key
-    hm = h.lead_mono(order)
-    hc = h.terms[hm]
-    cur = dict(g.terms)
-    q = {}
-    r = {}
-    while cur:
-        m = max(cur, key=key)
-        c = cur.pop(m)
-        if c == 0:
-            continue
-        if mono_divides(hm, m):
-            u = mono_div(m, hm)
-            f = c / hc
-            q[u] = q.get(u, 0) + f
-            for m2, c2 in h.terms.items():
-                if m2 == hm:
-                    continue
-                t = mono_mul(u, m2)
-                cur[t] = cur.get(t, 0) - f * c2
-        else:
-            r[m] = c
-    return (Polynomial(g.nvars, q), Polynomial(g.nvars, r))
-
-
-def divide_exact(g: Polynomial, h: Polynomial, order: TermOrder = DEGREVLEX):
-    """Exact quotient g / h, or None if h does not divide g."""
-    q, r = divmod_single(g, h, order)
-    if not r.is_zero():
-        return None
-    return q
+    from .groebner import ideal_lift   # groebner imports this module
+    lift = ideal_lift(g, [h])
+    return None if lift is None else lift[0]
 
 
 # ---------------------------------------------------------------------------

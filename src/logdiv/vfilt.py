@@ -18,10 +18,9 @@ from itertools import combinations_with_replacement
 from math import lcm
 
 from . import linalg
-from .groebner import ideal_gb, local_membership_at_origin
+from .groebner import ideal_gb, ideal_member, local_membership_at_origin
 from .logder import DerivationModule, InvalidDivisor, log_derivations
-from .poly import (DEGREVLEX, Polynomial, divide_exact, mono_deg,
-                   monomials_of_degree)
+from .poly import DEGREVLEX, Polynomial, mono_deg, monomials_of_degree
 from .weyl import WeylOperator, apply_op, compose
 
 
@@ -68,13 +67,15 @@ def _power_table(f):
 def v_membership(query: VMembershipQuery) -> bool:
     """Decide P in V_k.  If f(0) != 0, each f^p is a unit at the origin.
     Else a nonzero multiple of f^p has order >= p * ord(f) there, so a
-    smaller image fails before f^p is formed: p <= deg g at any level k."""
+    smaller image fails before f^p is formed: p <= deg g at any level k.
+    For homogeneous f, membership in f^p * O_0 is membership in (f^p)."""
     f = query.divisor
     P = query.operator
     if P.is_zero() or f.constant_term():
         return True
     n = f.nvars
-    homog = f.is_homogeneous()
+    member = (ideal_member if f.is_homogeneous()
+              else local_membership_at_origin)
     ford = min(map(mono_deg, f.terms))
     fpow = _power_table(f)
     gbs = {}
@@ -85,14 +86,10 @@ def v_membership(query: VMembershipQuery) -> bool:
             continue
         if min(map(mono_deg, g.terms)) < p * ford:
             return False
-        if homog:
-            if divide_exact(g, fpow(p)) is None:
-                return False
-        else:
-            if p not in gbs:
-                gbs[p] = ideal_gb([fpow(p)])
-            if not local_membership_at_origin(g, gbs[p]):
-                return False
+        if p not in gbs:
+            gbs[p] = ideal_gb([fpow(p)])
+        if not member(g, gbs[p]):
+            return False
     return True
 
 

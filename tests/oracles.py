@@ -2,10 +2,11 @@
 
 Everything here deliberately avoids the code paths it is used to check:
 multiplication runs on sorted term lists, linear algebra is a plain
-Fraction Gaussian elimination, the graded-piece dimension oracle uses
-single-divisor polynomial division instead of the subspace row reductions
-in the main library, and graded minimal generators come from a search of
-Groebner bases instead of one syzygy computation.
+Fraction Gaussian elimination, exact division is a single-divisor
+division on Fraction term maps instead of the Groebner engine, the
+graded-piece dimension oracle uses that division instead of the subspace
+row reductions in the main library, and graded minimal generators come
+from a search of Groebner bases instead of one syzygy computation.
 """
 
 import random
@@ -13,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from logdiv.groebner import buchberger, in_submodule, vector_lead_term
-from logdiv.poly import Polynomial, divmod_single, mono_deg, monomials_of_degree
+from logdiv.poly import Polynomial, mono_deg, monomials_of_degree
 
 
 def schoolbook_mul(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -63,6 +64,44 @@ def planes(seed, n=3, m=5):
         f = f * sum((Polynomial.variable(n, i) * a for i, a in enumerate(c)),
                     Polynomial.zero(n))
     return f
+
+
+# ---------------------------------------------------------------------------
+# single-divisor division on Fraction term maps (no Groebner engine)
+# ---------------------------------------------------------------------------
+
+def _degrevlex(m):
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def divmod_single(g: Polynomial, h: Polynomial):
+    """(q, r) with g = q*h + r and no term of r divisible by the degrevlex
+    leading monomial of h.  One polynomial is a Groebner basis of its
+    principal ideal, so r is the unique normal form: r = 0 iff h | g."""
+    if h.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if g.nvars != h.nvars:
+        raise ValueError("ring dimension mismatch")
+    hm = max(h.terms, key=_degrevlex)
+    hc = h.terms[hm]
+    cur = dict(g.terms)
+    q, r = {}, {}
+    while cur:
+        m = max(cur, key=_degrevlex)
+        c = cur.pop(m)
+        if c == 0:
+            continue
+        if all(a <= b for a, b in zip(hm, m)):
+            u = tuple(b - a for a, b in zip(hm, m))
+            f = c / hc
+            q[u] = q.get(u, 0) + f
+            for m2, c2 in h.terms.items():
+                if m2 != hm:
+                    t = tuple(a + b for a, b in zip(u, m2))
+                    cur[t] = cur.get(t, 0) - f * c2
+        else:
+            r[m] = c
+    return Polynomial(g.nvars, q), Polynomial(g.nvars, r)
 
 
 # ---------------------------------------------------------------------------

@@ -296,3 +296,15 @@ def test_vk_basis_far_below_zero_is_empty_and_fast():
                         "-w", "0"])
     assert time.perf_counter() - start < 2
     assert data["dim"] == 0 and data["basis"] == []
+
+
+def test_unknown_route_is_rejected():
+    from logdiv.criterion import criterion_certificate
+    f = parse_polynomial("x*y*(x+y)", 2)
+    for route in ("splt", "", None):
+        with pytest.raises(ValueError) as err:
+            criterion_certificate(f, 0, 2, route)
+        assert all(name in str(err.value) for name in ("both", "ann", "split"))
+    code, out, err = invoke(["criterion", "x*y*(x+y)", "--route", "splt"])
+    assert code == 2 and out == ""
+    assert "both" in err and "split" in err

@@ -12,7 +12,7 @@ from logdiv.groebner import (FreeModuleVector, buchberger, codim, eliminate,
 from logdiv.grammar import parse_polynomial
 from logdiv.poly import Polynomial
 
-from oracles import rand_homog_poly, rand_poly, span_membership
+from oracles import divmod_single, rand_homog_poly, rand_poly, span_membership
 
 
 def P(s, n):
@@ -48,8 +48,7 @@ def test_principal_ideal_gb_is_monic_generator():
 
 
 def divmod_zero(p, q):
-    from logdiv.poly import divide_exact
-    return divide_exact(p, q) is not None
+    return divmod_single(p, q)[1].is_zero()
 
 
 def test_normal_form_zero_iff_member():
@@ -148,7 +147,6 @@ def test_local_membership_at_origin():
 
 def test_local_membership_agrees_with_global_for_homogeneous():
     rng = random.Random(31)
-    from logdiv.poly import divide_exact
     for _ in range(15):
         h = rand_homog_poly(rng, 2, 2)
         if h.is_zero():
@@ -156,7 +154,7 @@ def test_local_membership_agrees_with_global_for_homogeneous():
         g = rand_homog_poly(rng, 2, 3)
         gb = ideal_gb([h])
         local = local_membership_at_origin(g, gb)
-        glob = g.is_zero() or divide_exact(g, h) is not None
+        glob = divmod_zero(g, h)
         assert local == glob
 
 

@@ -117,8 +117,9 @@ def basis_calls(monkeypatch):
 def test_minimal_generators_and_complement_take_few_engine_runs(
         f, splits, basis_calls):
     """One run for the minimal generators (a search runs one per kept
-    generator: 11 on d5) and at most two for the complement, whether or
-    not one exists (a search tried every drop: 7 runs on the planes)."""
+    generator: 11 on d5) and one for the complement, whether or not one
+    exists (a search tried every drop: 7 runs on the planes): the lift of
+    the Euler field and the syzygies come from the same tagged basis."""
     dm = log_derivations(f)
     chi = euler_field(f)
     before = len(basis_calls)
@@ -126,7 +127,7 @@ def test_minimal_generators_and_complement_take_few_engine_runs(
     assert len(basis_calls) - before == 1
     before = len(basis_calls)
     comp = _split_complement(dm, chi)
-    assert len(basis_calls) - before <= 2
+    assert len(basis_calls) - before == 1
     assert (comp is not None) == splits
     if splits:
         assert len(comp.generators) == len(mini.generators) - 1

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from logdiv.poly import (DEGREVLEX, LEX, BlockElim, Polynomial, divide_exact,
-                         divmod_single, monomials_of_degree)
+                         monomials_of_degree)
 from logdiv.grammar import ParseError, parse_polynomial
 
-from oracles import rand_poly, schoolbook_mul
+from oracles import divmod_single, rand_poly, schoolbook_mul
 
 
 def P(s, n):
@@ -43,6 +43,57 @@ def test_divide_exact_examples():
 def test_divide_by_zero():
     with pytest.raises(ZeroDivisionError):
         divmod_single(P("x", 1), Polynomial.zero(1))
+    with pytest.raises(ZeroDivisionError):
+        divide_exact(P("x", 1), Polynomial.zero(1))
+    with pytest.raises(ZeroDivisionError):
+        divide_exact(Polynomial.zero(2), Polynomial.zero(2))
+
+
+def test_divide_exact_rejects_mismatched_rings():
+    with pytest.raises(ValueError):
+        divide_exact(P("x", 1), P("x", 2))
+    with pytest.raises(ValueError):
+        divide_exact(Polynomial.zero(3), P("x+y", 2))
+
+
+def _division_pairs():
+    """Seeded (g, h): exact multiples, random dividends, zero and constant
+    dividends and divisors, rational coefficients, and exponents above 127,
+    which outgrow the engine's initial exponent slots."""
+    rng = random.Random(23)
+    pairs = []
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        h = rand_poly(rng, n, 3)
+        if h.is_zero():
+            continue
+        g = rand_poly(rng, n, 4, zero_ok=True)
+        pairs.append((g, h))
+        pairs.append((g * h, h))
+        pairs.append((g * h + rand_poly(rng, n, 2), h))
+        pairs.append((Polynomial.zero(n), h))
+        pairs.append((Polynomial.constant(n, Fraction(-3, 7)), h))
+        pairs.append((g, Polynomial.constant(n, Fraction(5, 2))))
+    wide = P("x^130", 2) - P("y", 2) * Fraction(2, 3)
+    pairs.extend([(wide * (P("x^2", 2) - P("y", 2) * Fraction(1, 3)), wide),
+                  (P("x^200", 2), wide),
+                  (P("x^200 + x^131*y", 2), P("x^130", 2)),
+                  (P("x^200*y^129", 2), P("x^3*y^128", 2)),
+                  (wide ** 2 + P("1", 2), wide)])
+    return pairs
+
+
+def test_divide_exact_agrees_with_the_oracle_division():
+    misses = 0
+    for g, h in _division_pairs():
+        q, r = divmod_single(g, h)
+        got = divide_exact(g, h)
+        if r.is_zero():
+            assert got == q, (g, h)
+        else:
+            misses += 1
+            assert got is None, (g, h)
+    assert misses > 50
 
 
 def test_constant_term():

@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from logdiv import vfilt
 from logdiv.grammar import parse_operator, parse_polynomial
+from logdiv.groebner import local_membership_at_origin
 from logdiv.logder import InvalidDivisor
-from logdiv.poly import Polynomial
+from logdiv.poly import Polynomial, monomials_of_degree
 from logdiv.vfilt import (NonHomogeneousError, VMembershipQuery, compare_v0,
                           default_weight_range, logder_generated_graded,
                           v0_graded_basis, v_member, v_membership,
                           vk_graded_basis)
-from logdiv.weyl import WeylOperator, affine_transform, compose
+from logdiv.weyl import WeylOperator, affine_transform, apply_op, compose
 
-from oracles import brute_v0_dimension
+from oracles import brute_v0_dimension, divmod_single
 
 
 def P(s, n):
@@ -67,6 +69,59 @@ def test_nonhomogeneous_membership_uses_local_ring():
     f = P("x*(1+x)", 1)
     assert v_member(f, OP("x*dx", 1), 0)
     assert not v_member(f, OP("dx", 1), 0)
+
+
+def _oracle_v_member(f, op, k):
+    """P in V_k iff f^(l-k) divides P(x^alpha f^l) for all |alpha| + l <=
+    order(P), l > k, each tested by the oracle's single-divisor division."""
+    n = f.nvars
+    d = 0 if op.is_zero() else int(op.order())
+    for l in range(max(k + 1, 0), d + 1):
+        for adeg in range(d - l + 1):
+            for alpha in monomials_of_degree(n, adeg):
+                g = apply_op(op, Polynomial.monomial(n, alpha) * f ** l)
+                if not divmod_single(g, f ** (l - k))[1].is_zero():
+                    return False
+    return True
+
+
+def test_v_member_global_and_local_membership_agree(monkeypatch):
+    """For homogeneous f each condition goes through ideal_member; the
+    answers through local_membership_at_origin and the oracle division
+    are the same, for members and non-members of the graded pieces."""
+    rng = random.Random(17)
+    cases = []
+    for f, k, d, w in ((P("x*y*(x+y)", 2), 0, 2, 1), (P("x*y*(x+y)", 2), 1, 1, 0),
+                       (P("x*y*(x+y)", 2), -1, 1, 2), (P("x*y*(x+y)", 2), 0, 1, 0),
+                       (P("x^2*y+y^3", 2), 0, 2, 0), (P("x*y*z", 3), 0, 1, 0)):
+        space = vk_graded_basis(f, k, d, w)
+        ops = list(space.basis[:4])
+        for _ in range(4):
+            noise = space.coords.vec_to_op(
+                [rng.choice((0, 0, 0, 1, -2)) for _ in space.coords.cols])
+            ops.append(noise)
+            if space.basis:
+                ops.append(space.basis[0] + noise)
+        cases.extend((f, op, k) for op in ops)
+        if k == 0 and d == 1:
+            # f*P is in V_(-1) iff P is in V_0; at level -1 the order-one
+            # condition P(f) in f^2 * O is the one that decides
+            cases.extend((f, op.left_mul(f), -1) for op in ops)
+    answers = []
+    real = vfilt.ideal_member
+
+    def spy(g, gb):
+        answers.append(real(g, gb))
+        return answers[-1]
+
+    monkeypatch.setattr(vfilt, "ideal_member", spy)
+    via_global = [v_member(f, op, k) for f, op, k in cases]
+    assert True in answers and False in answers
+    monkeypatch.setattr(vfilt, "ideal_member", local_membership_at_origin)
+    via_local = [v_member(f, op, k) for f, op, k in cases]
+    expected = [_oracle_v_member(f, op, k) for f, op, k in cases]
+    assert via_global == via_local == expected
+    assert True in expected and False in expected
 
 
 # -- graded bases ---------------------------------------------------------------
