@@ -130,10 +130,14 @@ def cmd_v0_basis(args):
     }
     weights = ([args.w] if args.w is not None
                else list(vfilt_mod.default_weight_range(f, args.d)))
+    # one Der(log f) for the whole scan; an invalid divisor is left to the
+    # first piece, which reports it as it always has
+    dm = (logder_mod.log_derivations(f) if args.compare and
+          f.is_homogeneous() and not f.is_constant() else None)
     pieces = []
     for w in weights:
         if args.compare:
-            cmp = vfilt_mod.compare_v0(f, args.d, w)
+            cmp = vfilt_mod.compare_v0(f, args.d, w, dm)
             piece = {"w": w, "dim_v0": cmp.dim_v0,
                      "dim_generated": cmp.dim_generated, "equal": cmp.equal}
             if cmp.witness is not None:

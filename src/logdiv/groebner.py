@@ -399,13 +399,15 @@ class _Engine:
         return False
 
     def _reduce(self, reducers):
-        kept = []
+        # a lead divides only leads of its own component
+        kept, by_comp = [], {}
         for r in sorted(reducers, key=lambda r: r[0]):
-            if not any(not (r[1] - k[1]) & self.dmask for k in kept):
+            same = by_comp.setdefault(r[1] >> self.cshift, [])
+            if not any(not (r[1] - k[1]) & self.dmask for k in same):
                 kept.append(r)
+                same.append(r)
         # tail-reduce each survivor against all of them, the ones before it
         # already reduced; no lead divides a term below itself
-        by_comp = self.index(kept)
         for pos, r in enumerate(kept):
             tail, scale = self.normal_form(dict(r[3]), by_comp, primitive=False)
             kept[pos] = self.reducer(_strip({r[0]: r[2] * scale, **tail}))

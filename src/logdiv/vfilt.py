@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations_with_replacement
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .groebner import ideal_gb, ideal_member, local_membership_at_origin
@@ -187,72 +187,137 @@ def _require_homogeneous(f):
         raise NonHomogeneousError("graded bases need a homogeneous divisor")
 
 
+def _deriv(terms, shift, mask):
+    """d/dx_i of packed (monomial, coefficient) pairs, x_i's slot at shift."""
+    unit = 1 << shift
+    return [(t - unit, c * x) for t, c in terms if (x := (t >> shift) & mask)]
+
+
 def _condition_kernel(f, coords, d, k):
     """Kernel of the stacked conditions P(x^alpha f^l) in f^p * O, p = l - k,
     over the coordinate columns, for the (alpha, l) of ``_conditions``.
 
-    A level contributes one row per target monomial: the images of the
-    coordinate columns reduced against the rref of the f^p multiples.  The
-    reduction runs in integers.  Each level block is scaled as a whole by
-    the common denominator of that rref and of the images; scaling rows
-    leaves the kernel alone.
+    A condition contributes one row per target monomial of degree
+    t = |alpha| + l*deg f + w: the images of the coordinate columns reduced
+    against the rref of the f^p multiples of degree t.  That block depends
+    on (p, t) only, so it is built once per key and shared by every alpha of
+    the call.  The derivatives d^beta(x^alpha f^l) form a table in which each
+    entry is one derivative of the entry for beta - e_i.  Monomials are ints
+    with one slot per variable, each slot wide enough for the largest degree
+    of the call, max(t, |alpha| + l*deg f): an exponent of a monomial of
+    degree <= D is at most D, so no sum carries into the next slot, and the
+    target of mono * d^beta-term is one int add.  The reduction runs in
+    integers.  Each condition's rows are scaled as a whole by the common
+    denominator of the block's rref and of the images; scaling rows leaves
+    the kernel alone.
 
     Returns the rref of the kernel and its pivots from one elimination.
     With the columns reversed, the kernel vector of free column c, read in
     the original order, has its 1 at c, other entries only at pivot columns
     right of c, and zeros at the other free columns: an rref."""
-    n = f.nvars
-    e = f.degree()
-    fpow = _power_table(f)
-    rows = []
-    for alpha, l in _conditions(n, d, k):
-        p = l - k
-        target_deg = mono_deg(alpha) + l * e + coords.w
-        if target_deg < 0:
-            continue
-        g = Polynomial.monomial(n, alpha) * fpow(l)
-        dvals = {}
-        for beta, _ in coords.cols:
-            if beta not in dvals:
-                dvals[beta] = g.partial(beta).terms
-        scale = lcm(*(c.denominator for terms in dvals.values()
-                      for c in terms.values()))
-        dvals = {beta: [(dm, c.numerator * (scale // c.denominator))
-                        for dm, c in terms.items()]
-                 for beta, terms in dvals.items()}
-        tmonos = monomials_of_degree(n, target_deg)
-        tindex = {m: i for i, m in enumerate(tmonos)}
-        # subspace f^p * (monomials of degree target_deg - p*e)
+    n, e, w = f.nvars, f.degree(), coords.w
+    conds = [(alpha, l, mono_deg(alpha) + l * e + w)
+             for alpha, l in _conditions(n, d, k)]
+    conds = [c for c in conds if c[2] >= 0]
+    # below weight 0, x^alpha f^l (degree t - w) is the largest
+    bits = max([1] + [t - min(w, 0) for _, _, t in conds]).bit_length()
+    mask = (1 << bits) - 1
+
+    def pack(m):
+        return sum(x << (i * bits) for i, x in enumerate(m))
+
+    # OperatorCoordinates lists each beta's columns together; the table
+    # entry of beta is the derivative of beta - e_i, i its first nonzero
+    groups = {}
+    for beta, mono in coords.cols:
+        groups.setdefault(beta, []).append(pack(mono))
+    plan = []
+    for bd in range(1, d + 1):
+        for beta in monomials_of_degree(n, bd):
+            i = next(j for j, x in enumerate(beta) if x)
+            parent = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+            plan.append((beta, parent, i * bits))
+    zero = (0,) * n
+
+    fden = lcm(*(c.denominator for c in f.terms.values()))
+    fint = [(pack(m), c.numerator * (fden // c.denominator))
+            for m, c in f.terms.items()]
+    powers = [([(0, 1)], 1)]
+
+    def packed_power(p):
+        """(integer terms of den * f^p, den) with den = fden^p."""
+        while len(powers) <= p:
+            prev, den = powers[-1]
+            acc = {}
+            for m1, c1 in prev:
+                for m2, c2 in fint:
+                    acc[m1 + m2] = acc.get(m1 + m2, 0) + c1 * c2
+            powers.append(([(m, c) for m, c in acc.items() if c],
+                           den * fden))
+        return powers[p]
+
+    blocks = {}
+
+    def block(p, t):
+        """Per target monomial of degree t, the (row, coefficient) pairs
+        that subtract its reduction against the f^p multiples.  A reduced
+        image is zero at every pivot column, so only the free columns of
+        the block give rows."""
+        tmonos = [pack(m) for m in monomials_of_degree(n, t)]
         sub = []
-        rdeg = target_deg - p * e
-        if rdeg >= 0:
-            fp = fpow(p)
-            for m in monomials_of_degree(n, rdeg):
+        if t - p * e >= 0:
+            fp, _ = packed_power(p)
+            tindex = {m: i for i, m in enumerate(tmonos)}
+            for m in monomials_of_degree(n, t - p * e):
                 vec = [0] * len(tmonos)
-                for fm, c in fp.terms.items():
-                    vec[tindex[tuple(x + y for x, y in zip(fm, m))]] = c
+                pm = pack(m)
+                for fm, c in fp:
+                    vec[tindex[fm + pm]] = c
                 sub.append(vec)
         sred, spiv = linalg.rref(sub, len(tmonos)) if sub else ([], [])
         # At a pivot column the reduction coefficient is the image's own
         # entry there, so the integer rows den * sred do the whole job.
         den = lcm(*(c.denominator for row in sred for c in row))
         pivot_of = {col: i for i, col in enumerate(spiv)}
-        reducers = [[(pos, c.numerator * (den // c.denominator))
-                     for pos, c in enumerate(row)
-                     if c and pos not in pivot_of] for row in sred]
+        free = [q for q in range(len(tmonos)) if q not in pivot_of]
+        row_of = {q: j for j, q in enumerate(free)}
+        action = {}
+        for q, m in enumerate(tmonos):
+            i = pivot_of.get(q)
+            action[m] = ([(row_of[q], -den)] if i is None else
+                         [(row_of[pos], c.numerator * (den // c.denominator))
+                          for pos, c in enumerate(sred[i])
+                          if c and pos in row_of])
+        return len(free), action
+
+    rows = []
+    for alpha, l, t in conds:
+        key = (l - k, t)
+        if key not in blocks:
+            blocks[key] = block(*key)
+        nfree, action = blocks[key]
+        fl, den = packed_power(l)
+        shift = pack(alpha)
+        table = {zero: [(m + shift, c) for m, c in fl]}
+        for beta, parent, s in plan:
+            src = table[parent]
+            table[beta] = _deriv(src, s, mask) if src else []
+        if den != 1:
+            # the images are table / den; clear their reduced denominators
+            scale = lcm(*(den // gcd(c, den) for beta in groups
+                          for _, c in table[beta]))
+            table = {beta: [(m, c * scale // den) for m, c in table[beta]]
+                     for beta in groups}
         residuals = []
-        for beta, mono in coords.cols:
-            res = [0] * len(tmonos)
-            for dm, c in dvals[beta]:
-                q = tindex[tuple(x + y for x, y in zip(dm, mono))]
-                i = pivot_of.get(q)
-                if i is None:
-                    res[q] += den * c
-                else:
-                    for pos, s in reducers[i]:
+        for beta, pmonos in groups.items():
+            terms = table[beta]
+            for pm in pmonos:
+                res = [0] * nfree
+                for m, c in terms:
+                    for pos, s in action[m + pm]:
                         res[pos] -= c * s
-            residuals.append(res)
-        rows.extend(row[::-1] for row in zip(*residuals) if any(row))
+                residuals.append(res)
+        rows.extend(row for row in zip(*reversed(residuals)) if any(row))
     kernel = [v[::-1] for v in linalg.kernel_basis(rows, len(coords))[::-1]]
     # entries left of a row's leading 1 are zero, so index finds the pivot
     return kernel, [v.index(1) for v in kernel]

@@ -5,13 +5,16 @@ multiplication runs on sorted term lists, linear algebra is a plain
 Fraction Gaussian elimination, exact division is a single-divisor
 division on Fraction term maps instead of the Groebner engine, the
 graded-piece dimension oracle uses that division instead of the subspace
-row reductions in the main library, and graded minimal generators come
-from a search of Groebner bases instead of one syzygy computation.
+row reductions in the main library, graded minimal generators come
+from a search of Groebner bases instead of one syzygy computation, and the
+condition rows of a graded piece come from the row builder the library
+used before its packed one (Fraction derivatives, one rref per condition).
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from logdiv.groebner import buchberger, in_submodule, vector_lead_term
 from logdiv.poly import Polynomial, mono_deg, monomials_of_degree
@@ -177,6 +180,10 @@ def span_membership(g: Polynomial, gens, bound: int) -> bool:
 # graded V-filtration piece by brute force
 # ---------------------------------------------------------------------------
 
+# brute_v0_dimension takes seconds per piece above this many columns.
+BRUTE_MAX_COLS = 81
+
+
 def brute_v0_dimension(f: Polynomial, d: int, w: int, k: int = 0) -> int:
     """Dimension of {order <= d, weight w} operators P with
     P(x^alpha f^l) divisible by f^(l-k) for all |alpha| + l <= d.
@@ -220,6 +227,69 @@ def brute_v0_dimension(f: Polynomial, d: int, w: int, k: int = 0) -> int:
         return 0
     rank = gauss_rank(rows_by_condition, len(unknowns))
     return len(unknowns) - rank
+
+
+def condition_rows(f: Polynomial, cols, d: int, w: int, k: int):
+    """The rows ``vfilt._condition_kernel`` stacks for the (d, w) piece of
+    V_k over the coordinate columns ``cols``, built the way the library
+    built them before its packed builder: every d^beta(x^alpha f^l) by
+    repeated ``Polynomial.deriv`` and one rref of the f^p multiples per
+    condition.  The rref is ``linalg.rref``, which ``test_linalg`` checks
+    against the plain elimination above; the Fraction oracle is too slow
+    for these blocks."""
+    from logdiv import linalg
+
+    n = f.nvars
+    e = f.degree()
+    rows = []
+    for l in range(max(k + 1, 0), d + 1):
+        for adeg in range(d - l + 1):
+            for alpha in monomials_of_degree(n, adeg):
+                p = l - k
+                target_deg = adeg + l * e + w
+                if target_deg < 0:
+                    continue
+                g = Polynomial.monomial(n, alpha) * f ** l
+                dvals = {}
+                for beta, _ in cols:
+                    if beta not in dvals:
+                        dvals[beta] = g.partial(beta).terms
+                scale = lcm(*(c.denominator for terms in dvals.values()
+                              for c in terms.values()))
+                dvals = {beta: [(dm, c.numerator * (scale // c.denominator))
+                                for dm, c in terms.items()]
+                         for beta, terms in dvals.items()}
+                tmonos = monomials_of_degree(n, target_deg)
+                tindex = {m: i for i, m in enumerate(tmonos)}
+                sub = []
+                rdeg = target_deg - p * e
+                if rdeg >= 0:
+                    fp = f ** p
+                    for m in monomials_of_degree(n, rdeg):
+                        vec = [0] * len(tmonos)
+                        for fm, c in fp.terms.items():
+                            vec[tindex[tuple(x + y for x, y in zip(fm, m))]] = c
+                        sub.append(vec)
+                sred, spiv = linalg.rref(sub, len(tmonos)) if sub else ([], [])
+                den = lcm(*(c.denominator for row in sred for c in row))
+                pivot_of = {col: i for i, col in enumerate(spiv)}
+                reducers = [[(pos, c.numerator * (den // c.denominator))
+                             for pos, c in enumerate(row)
+                             if c and pos not in pivot_of] for row in sred]
+                residuals = []
+                for beta, mono in cols:
+                    res = [0] * len(tmonos)
+                    for dm, c in dvals[beta]:
+                        q = tindex[tuple(x + y for x, y in zip(dm, mono))]
+                        i = pivot_of.get(q)
+                        if i is None:
+                            res[q] += den * c
+                        else:
+                            for pos, s in reducers[i]:
+                                res[pos] -= c * s
+                    residuals.append(res)
+                rows.extend(row[::-1] for row in zip(*residuals) if any(row))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,29 @@ def test_v0_basis_compare_reports_gap():
     assert v_member(parse_polynomial(arr["f"], 3), witness, 0)
 
 
+def test_v0_basis_compare_builds_log_derivations_once(monkeypatch):
+    from logdiv import logder, vfilt
+    calls = []
+    real = logder.log_derivations
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(logder, "log_derivations", counting)
+    monkeypatch.setattr(vfilt, "log_derivations", counting)
+    data = invoke_json(["v0-basis", "-f", "x*y*z*(x+y+z)*(x+2*y+3*z)",
+                        "-d", "1", "--compare"])
+    assert [p["w"] for p in data["pieces"]] == list(range(-1, 5))
+    assert len(calls) == 1
+    # an invalid divisor is still reported by the first piece
+    for text, reason in (("x^2+y^3", "graded bases need a homogeneous"),
+                         ("7", "divisor must be a nonconstant polynomial")):
+        code, _, err = invoke(["v0-basis", "-f", text, "-d", "1", "--compare"])
+        assert code == 3 and reason in err
+    assert len(calls) == 1
+
+
 def test_option_values_starting_with_minus():
     data = invoke_json(["v0-member", "-f", "x*y", "-P", "-x*dx"])
     assert data["input"]["P"] == "-x*dx"

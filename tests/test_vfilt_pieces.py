@@ -20,10 +20,7 @@ from logdiv.vfilt import (VMembershipQuery, default_weight_range, v_member,
                           vk_graded_basis)
 from logdiv.weyl import WeylOperator, apply_op
 
-from oracles import brute_v0_dimension, rand_poly
-
-# The plain-Fraction oracle takes seconds per piece above this many columns.
-BRUTE_MAX_COLS = 81
+from oracles import BRUTE_MAX_COLS, brute_v0_dimension, rand_poly
 
 
 def _four_lines(seed):
