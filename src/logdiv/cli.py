@@ -130,8 +130,8 @@ def cmd_v0_basis(args):
     }
     weights = ([args.w] if args.w is not None
                else list(vfilt_mod.default_weight_range(f, args.d)))
-    # one Der(log f) for the whole scan; an invalid divisor is left to the
-    # first piece, which reports it as it always has
+    # one Der(log f) for the whole scan; an invalid divisor is reported by
+    # default_weight_range, or with -w by the piece
     dm = (logder_mod.log_derivations(f) if args.compare and
           f.is_homogeneous() and not f.is_constant() else None)
     pieces = []

@@ -21,12 +21,17 @@ from . import linalg
 from .groebner import ideal_gb, ideal_member, local_membership_at_origin
 from .logder import DerivationModule, InvalidDivisor, log_derivations
 from .poly import DEGREVLEX, Polynomial, mono_deg, monomials_of_degree
-from .weyl import WeylOperator, apply_op, compose
+from .weyl import WeylOperator, compose
 
 
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
+
+def _require_divisor(f):
+    if f.is_zero() or f.is_constant():
+        raise InvalidDivisor("divisor must be a nonconstant polynomial")
+
 
 def _conditions(nvars, order, level):
     """All (alpha, l) with |alpha| + l <= order and l - level >= 1."""
@@ -44,8 +49,9 @@ class VMembershipQuery:
     order: int = field(init=False)
 
     def __post_init__(self):
-        if self.divisor.is_zero() or self.divisor.is_constant():
-            raise InvalidDivisor("divisor must be a nonconstant polynomial")
+        _require_divisor(self.divisor)
+        if self.operator.nvars != self.divisor.nvars:
+            raise ValueError("ring dimension mismatch")
         d = self.operator.order()
         self.order = 0 if self.operator.is_zero() else int(d)
 
@@ -54,41 +60,119 @@ class VMembershipQuery:
         return list(_conditions(self.divisor.nvars, self.order, self.level))
 
 
-def _power_table(f):
-    """p -> f^p, each power built once by repeated multiplication."""
-    powers = [Polynomial.one(f.nvars)]
-    def fpow(p):
+def _deriv(terms, shift, mask):
+    """d/dx_i of packed (monomial, coefficient) pairs, x_i's slot at shift."""
+    unit = 1 << shift
+    return [(t - unit, c * x) for t, c in terms if (x := (t >> shift) & mask)]
+
+
+class _DerivTable:
+    """Packed integer images of x^alpha f^l under the d^beta, for one call.
+
+    Monomials are ints with one slot per variable, each slot wide enough for
+    ``degree``: an exponent of a monomial of degree <= degree is at most
+    degree, so no sum of such monomials carries into the next slot and a
+    monomial product is one int add.  ``power(p)`` is the integer terms of
+    fden^p * f^p, fden the lcm of f's denominators.  ``table(alpha, l)``
+    maps each beta of ``betas``, and each beta on the way to it, to the
+    terms of fden^l * d^beta(x^alpha f^l); the entry of beta is one
+    derivative of the entry of beta - e_i, i its first nonzero."""
+
+    def __init__(self, f, betas, degree):
+        self.nvars = f.nvars
+        self.bits = bits = max(degree, 1).bit_length()
+        self.mask = (1 << bits) - 1
+        steps = {}
+        for beta in betas:
+            while any(beta) and beta not in steps:
+                i = next(j for j, x in enumerate(beta) if x)
+                parent = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
+                steps[beta] = (parent, i * bits)
+                beta = parent
+        self.plan = sorted(steps.items(), key=lambda step: mono_deg(step[0]))
+        fden = lcm(*(c.denominator for c in f.terms.values()))
+        self.fint = [(self.pack(m), c.numerator * (fden // c.denominator))
+                     for m, c in f.terms.items()]
+        self.fden = fden
+        self.powers = [[(0, 1)]]
+
+    def pack(self, m):
+        bits = self.bits
+        return sum(x << (i * bits) for i, x in enumerate(m))
+
+    def polynomial(self, terms):
+        """Decode (packed monomial, coefficient) pairs; zeros drop out."""
+        mask, shifts = self.mask, range(0, self.nvars * self.bits, self.bits)
+        return Polynomial(self.nvars, {
+            tuple((t >> s) & mask for s in shifts): c for t, c in terms})
+
+    def power(self, p):
+        powers = self.powers
         while len(powers) <= p:
-            powers.append(powers[-1] * f)
+            acc = {}
+            for m1, c1 in powers[-1]:
+                for m2, c2 in self.fint:
+                    acc[m1 + m2] = acc.get(m1 + m2, 0) + c1 * c2
+            powers.append([(m, c) for m, c in acc.items() if c])
         return powers[p]
-    return fpow
+
+    def table(self, alpha, l):
+        shift = self.pack(alpha)
+        table = {(0,) * self.nvars: [(m + shift, c) for m, c in self.power(l)]}
+        for beta, (parent, s) in self.plan:
+            src = table[parent]
+            table[beta] = _deriv(src, s, self.mask) if src else []
+        return table
 
 
 def v_membership(query: VMembershipQuery) -> bool:
     """Decide P in V_k.  If f(0) != 0, each f^p is a unit at the origin.
     Else a nonzero multiple of f^p has order >= p * ord(f) there, so a
     smaller image fails before f^p is formed: p <= deg g at any level k.
-    For homogeneous f, membership in f^p * O_0 is membership in (f^p)."""
+    For homogeneous f, membership in f^p * O_0 is membership in (f^p);
+    otherwise membership in (f^p) implies it, and the local test runs only
+    for images outside (f^p).
+
+    The images are integer multiples pden * fden^l * P(x^alpha f^l), pden
+    the lcm of P's denominators, summed over a ``_DerivTable`` whose slots
+    fit every image term and every power f^p it forms.  An image has
+    degree <= top, |alpha| + l*deg f plus the largest degree of P's
+    coefficients at l = order(P), alpha = 0.  The order test forms f^p only
+    for p*ord(f) <= top, and p <= order(P) - k; for non-homogeneous f,
+    p*deg f can exceed top.  Scaling an image leaves its membership
+    alone."""
     f = query.divisor
     P = query.operator
     if P.is_zero() or f.constant_term():
         return True
-    n = f.nvars
-    member = (ideal_member if f.is_homogeneous()
-              else local_membership_at_origin)
-    ford = min(map(mono_deg, f.terms))
-    fpow = _power_table(f)
+    coeffs = P.terms.values()
+    e, ford = f.degree(), min(map(mono_deg, f.terms))
+    top = query.order * e + max(mono_deg(m) for c in coeffs for m in c.terms)
+    images = _DerivTable(f, P.terms, max(
+        top, min(query.order - query.level, top // ford) * e))
+    pden = lcm(*(c.denominator for p in coeffs for c in p.terms.values()))
+    pint = [(beta, [(images.pack(m), c.numerator * (pden // c.denominator))
+                    for m, c in p.terms.items()])
+            for beta, p in P.terms.items()]
     gbs = {}
     for alpha, l in query.conditions():
         p = l - query.level
-        g = apply_op(P, Polynomial.monomial(n, alpha) * fpow(l))
+        table = images.table(alpha, l)
+        acc = {}
+        for beta, coeff in pint:
+            for m1, c1 in table[beta]:
+                for m2, c2 in coeff:
+                    acc[m1 + m2] = acc.get(m1 + m2, 0) + c1 * c2
+        g = images.polynomial(acc.items())
         if g.is_zero():
             continue
         if min(map(mono_deg, g.terms)) < p * ford:
             return False
         if p not in gbs:
-            gbs[p] = ideal_gb([fpow(p)])
-        if not member(g, gbs[p]):
+            gbs[p] = ideal_gb([images.polynomial(images.power(p))])
+        gb = gbs[p]
+        if not ideal_member(g, gb) and (
+                f.is_homogeneous() or not local_membership_at_origin(g, gb)):
             return False
     return True
 
@@ -181,16 +265,9 @@ class NonHomogeneousError(ValueError):
 
 
 def _require_homogeneous(f):
-    if f.is_zero() or f.is_constant():
-        raise InvalidDivisor("divisor must be a nonconstant polynomial")
+    _require_divisor(f)
     if not f.is_homogeneous():
         raise NonHomogeneousError("graded bases need a homogeneous divisor")
-
-
-def _deriv(terms, shift, mask):
-    """d/dx_i of packed (monomial, coefficient) pairs, x_i's slot at shift."""
-    unit = 1 << shift
-    return [(t - unit, c * x) for t, c in terms if (x := (t >> shift) & mask)]
 
 
 def _condition_kernel(f, coords, d, k):
@@ -201,15 +278,12 @@ def _condition_kernel(f, coords, d, k):
     t = |alpha| + l*deg f + w: the images of the coordinate columns reduced
     against the rref of the f^p multiples of degree t.  That block depends
     on (p, t) only, so it is built once per key and shared by every alpha of
-    the call.  The derivatives d^beta(x^alpha f^l) form a table in which each
-    entry is one derivative of the entry for beta - e_i.  Monomials are ints
-    with one slot per variable, each slot wide enough for the largest degree
-    of the call, max(t, |alpha| + l*deg f): an exponent of a monomial of
-    degree <= D is at most D, so no sum carries into the next slot, and the
-    target of mono * d^beta-term is one int add.  The reduction runs in
-    integers.  Each condition's rows are scaled as a whole by the common
-    denominator of the block's rref and of the images; scaling rows leaves
-    the kernel alone.
+    the call.  The derivatives d^beta(x^alpha f^l) come from one
+    ``_DerivTable`` whose slots fit the largest degree of the call,
+    max(t, |alpha| + l*deg f), so the target of mono * d^beta-term is one
+    int add.  The reduction runs in integers.  Each condition's rows are
+    scaled as a whole by the common denominator of the block's rref and of
+    the images; scaling rows leaves the kernel alone.
 
     Returns the rref of the kernel and its pivots from one elimination.
     With the columns reversed, the kernel vector of free column c, read in
@@ -219,42 +293,14 @@ def _condition_kernel(f, coords, d, k):
     conds = [(alpha, l, mono_deg(alpha) + l * e + w)
              for alpha, l in _conditions(n, d, k)]
     conds = [c for c in conds if c[2] >= 0]
-    # below weight 0, x^alpha f^l (degree t - w) is the largest
-    bits = max([1] + [t - min(w, 0) for _, _, t in conds]).bit_length()
-    mask = (1 << bits) - 1
-
-    def pack(m):
-        return sum(x << (i * bits) for i, x in enumerate(m))
-
-    # OperatorCoordinates lists each beta's columns together; the table
-    # entry of beta is the derivative of beta - e_i, i its first nonzero
     groups = {}
     for beta, mono in coords.cols:
-        groups.setdefault(beta, []).append(pack(mono))
-    plan = []
-    for bd in range(1, d + 1):
-        for beta in monomials_of_degree(n, bd):
-            i = next(j for j, x in enumerate(beta) if x)
-            parent = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-            plan.append((beta, parent, i * bits))
-    zero = (0,) * n
-
-    fden = lcm(*(c.denominator for c in f.terms.values()))
-    fint = [(pack(m), c.numerator * (fden // c.denominator))
-            for m, c in f.terms.items()]
-    powers = [([(0, 1)], 1)]
-
-    def packed_power(p):
-        """(integer terms of den * f^p, den) with den = fden^p."""
-        while len(powers) <= p:
-            prev, den = powers[-1]
-            acc = {}
-            for m1, c1 in prev:
-                for m2, c2 in fint:
-                    acc[m1 + m2] = acc.get(m1 + m2, 0) + c1 * c2
-            powers.append(([(m, c) for m, c in acc.items() if c],
-                           den * fden))
-        return powers[p]
+        groups.setdefault(beta, []).append(mono)
+    # below weight 0, x^alpha f^l (degree t - w) is the largest
+    images = _DerivTable(f, groups,
+                         max([0] + [t - min(w, 0) for _, _, t in conds]))
+    pack = images.pack
+    groups = {beta: [pack(m) for m in monos] for beta, monos in groups.items()}
 
     blocks = {}
 
@@ -266,7 +312,7 @@ def _condition_kernel(f, coords, d, k):
         tmonos = [pack(m) for m in monomials_of_degree(n, t)]
         sub = []
         if t - p * e >= 0:
-            fp, _ = packed_power(p)
+            fp = images.power(p)
             tindex = {m: i for i, m in enumerate(tmonos)}
             for m in monomials_of_degree(n, t - p * e):
                 vec = [0] * len(tmonos)
@@ -296,12 +342,8 @@ def _condition_kernel(f, coords, d, k):
         if key not in blocks:
             blocks[key] = block(*key)
         nfree, action = blocks[key]
-        fl, den = packed_power(l)
-        shift = pack(alpha)
-        table = {zero: [(m + shift, c) for m, c in fl]}
-        for beta, parent, s in plan:
-            src = table[parent]
-            table[beta] = _deriv(src, s, mask) if src else []
+        table = images.table(alpha, l)
+        den = images.fden ** l
         if den != 1:
             # the images are table / den; clear their reduced denominators
             scale = lcm(*(den // gcd(c, den) for beta in groups
@@ -422,6 +464,7 @@ def compare_v0(f: Polynomial, d: int, w: int,
 def default_weight_range(f: Polynomial, d: int):
     """Heuristic scan range [-d, d*(deg f - 1)] where order <= d
     logarithmic operators of a homogeneous divisor can live."""
+    _require_divisor(f)
     if d < 0:
         raise ValueError("order bound must be nonnegative")
     e = f.degree()

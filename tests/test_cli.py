@@ -253,6 +253,15 @@ def test_negative_order_bound_is_a_usage_error(extra):
     assert "order bound must be nonnegative" in err
 
 
+@pytest.mark.parametrize("extra", [[], ["--compare"], ["-w", "0"],
+                                   ["-w", "0", "--compare"]])
+def test_zero_divisor_is_unsupported(extra):
+    # without -w the scan range of the zero polynomial was empty: exit 0
+    code, out, err = invoke(["v0-basis", "-f", "0", "-d", "2"] + extra)
+    assert code == 3 and out == ""
+    assert "divisor must be a nonconstant polynomial" in err
+
+
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_nvars_below_one_is_a_usage_error(n):
     code, out, err = invoke(["logder", "-n", n, "x"])

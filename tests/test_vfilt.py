@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from logdiv import vfilt
+from logdiv import groebner, vfilt, weyl
+from logdiv.arrangements import example9_objects
 from logdiv.grammar import parse_operator, parse_polynomial
 from logdiv.groebner import local_membership_at_origin
-from logdiv.logder import InvalidDivisor
+from logdiv.logder import InvalidDivisor, log_derivations
 from logdiv.poly import Polynomial, monomials_of_degree
 from logdiv.vfilt import (NonHomogeneousError, VMembershipQuery, compare_v0,
                           default_weight_range, logder_generated_graded,
@@ -14,7 +15,7 @@ from logdiv.vfilt import (NonHomogeneousError, VMembershipQuery, compare_v0,
                           vk_graded_basis)
 from logdiv.weyl import WeylOperator, affine_transform, apply_op, compose
 
-from oracles import brute_v0_dimension, divmod_single
+from oracles import brute_v0_dimension, divmod_single, rand_poly
 
 
 def P(s, n):
@@ -71,16 +72,27 @@ def test_nonhomogeneous_membership_uses_local_ring():
     assert not v_member(f, OP("dx", 1), 0)
 
 
-def _oracle_v_member(f, op, k):
-    """P in V_k iff f^(l-k) divides P(x^alpha f^l) for all |alpha| + l <=
-    order(P), l > k, each tested by the oracle's single-divisor division."""
+def _oracle_v_member(f, op, k, unit=None):
+    """P in V_k iff f^(l-k) divides P(x^alpha f^l) in the local ring at 0
+    for all |alpha| + l <= order(P), l > k.  If f(0) != 0 every power of f
+    is a unit there.  Else f = f0 * unit, unit(0) != 0 (1 if not given),
+    so f^p * O_0 = f0^p * O_0, and each condition is tested by the
+    oracle's single-divisor division by f0^p.  That is exact when every
+    irreducible factor of f0 vanishes at 0: none of them divides a u with
+    u(0) != 0, so g * u in (f0^p) gives g in (f0^p)."""
+    if f.constant_term():
+        return True
     n = f.nvars
+    f0 = f
+    if unit is not None:
+        f0, rem = divmod_single(f, unit)
+        assert rem.is_zero() and unit.constant_term()
     d = 0 if op.is_zero() else int(op.order())
     for l in range(max(k + 1, 0), d + 1):
         for adeg in range(d - l + 1):
             for alpha in monomials_of_degree(n, adeg):
                 g = apply_op(op, Polynomial.monomial(n, alpha) * f ** l)
-                if not divmod_single(g, f ** (l - k))[1].is_zero():
+                if not divmod_single(g, f0 ** (l - k))[1].is_zero():
                     return False
     return True
 
@@ -122,6 +134,117 @@ def test_v_member_global_and_local_membership_agree(monkeypatch):
     expected = [_oracle_v_member(f, op, k) for f, op, k in cases]
     assert via_global == via_local == expected
     assert True in expected and False in expected
+
+
+def _rational(text, n, c):
+    return OP(text, n).scale(Fraction(*c))
+
+
+def _random_operator(rng, n, d):
+    """Up to three d^beta with |beta| <= d and random rational coefficients
+    of degree <= 3."""
+    op = WeylOperator.zero(n)
+    for _ in range(rng.randint(1, 3)):
+        beta = rng.choice(monomials_of_degree(n, rng.randint(0, d)))
+        coeff = rand_poly(rng, n, 3)
+        op = op + WeylOperator(n, {beta: coeff})
+    return op
+
+
+def _oracle_cases():
+    """(f, unit, P, levels): rational coefficients in f and P, homogeneous
+    and non-homogeneous f with f(0) = 0 and f(0) != 0, coefficients of
+    higher degree than any |alpha| + l*deg f, and images that vanish.
+    unit is a factor of f with unit(0) != 0, for the oracle."""
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    divisors = [
+        (NC2, None),
+        (x * y * (x + y * Fraction(1, 2)), None),  # homogeneous, rational
+        (P("y^2-x^2+x^3", 2), None),               # node, irreducible
+        (x * (y + x * x * Fraction(1, 2)), None),  # both factors through 0
+        (x * P("1+x", 2), P("1+x", 2)),            # x is a unit multiple
+        (P("1+x", 2) + y * y * Fraction(1, 3), None),  # a unit at 0
+    ]
+    fixed = [
+        # slot width from P: degree 41 against |alpha| + l*deg f <= 6
+        OP("x^40*y*dx^2", 2), OP("x^40*y*dx^2 + y^41*dy", 2),
+        _rational("x^40*y^3*dx*dy", 2, (-2, 3)),
+        # images of low conditions vanish
+        OP("dx^3", 2), _rational("x^2*dy^3 + y*dx^2", 2, (5, 2)),
+        _rational("x*dx", 2, (1, 3)) + _rational("y*dy", 2, (-1, 2)),
+    ]
+    levels = range(-2, 3)
+    rng = random.Random(4242)
+    cases = []
+    for f, unit in divisors:
+        ops = fixed + [_random_operator(rng, 2, rng.randint(1, 2))
+                       for _ in range(6)]
+        cases.extend((f, unit, op, levels) for op in ops)
+    # Non-homogeneous f at low levels: the order test lets f^p through
+    # with p*deg f above every image degree, so the slots must fit f^p.
+    f, unit = divisors[4]
+    cases.extend((f, unit, OP(text, 2), range(-6, 0))
+                 for text in ("x^3", "x^5*dx"))
+    return cases
+
+
+def test_v_member_matches_fraction_oracle():
+    """The packed integer images decide membership as the Fraction images
+    of apply_op and the oracle's division do."""
+    answers = []
+    for f, unit, op, levels in _oracle_cases():
+        for k in levels:
+            got = v_member(f, op, k)
+            assert got == _oracle_v_member(f, op, k, unit), (f, op, k)
+            answers.append(got)
+    assert True in answers and False in answers
+    # the condition (alpha, l) = (0, 1) of dx^3 on x*y has a zero image
+    assert apply_op(OP("dx^3", 2), NC2).is_zero()
+    # (x + x^2)^3 * O_0 = (x^3): f^3 has degree 6, the image x^3 degree 3
+    assert v_member(P("x+x^2", 2), OP("x^3", 2), -3)
+
+
+@pytest.mark.parametrize("op", [OP("x*dx + dz", 3), OP("dx", 1),
+                                WeylOperator.zero(3)])
+@pytest.mark.parametrize("f", [NC2, P("1+x*y", 2)])
+def test_v_member_rejects_operator_of_another_ring(monkeypatch, f, op):
+    def no_table(*args):
+        raise AssertionError("packed before the ring check")
+
+    monkeypatch.setattr(vfilt, "_DerivTable", no_table)
+    with pytest.raises(ValueError, match="^ring dimension mismatch$"):
+        v_member(f, op, 0)
+
+
+def test_v_member_work(monkeypatch):
+    """No Fraction apply_op; no colon for homogeneous f, nor for an image
+    that already lies in (f^p)."""
+    calls = {"apply_op": 0, "local": 0, "colon": 0}
+
+    def counting(name, real):
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(weyl, "apply_op", counting("apply_op", weyl.apply_op))
+    monkeypatch.setattr(vfilt, "local_membership_at_origin",
+                        counting("local", vfilt.local_membership_at_origin))
+    monkeypatch.setattr(groebner, "ideal_quotient",
+                        counting("colon", groebner.ideal_quotient))
+    assert not hasattr(vfilt, "apply_op")
+    quintic = example9_objects()[0].f
+    assert all(v_member(quintic, op, 0)
+               for op in v0_graded_basis(quintic, 1, 2).basis)
+    assert not v_member(quintic, OP("x*dx^2", 3), 0)
+    node = P("y^2-x^2+x^3", 2)
+    theta = log_derivations(node).operators()
+    word = compose(theta[0], theta[-1]).left_mul(P("x", 2))
+    assert v_member(node, word, 0)
+    assert calls == {"apply_op": 0, "local": 0, "colon": 0}
+    # x*dx(f) = -2x^2 + 3x^3 passes the order test but not (f): one colon
+    assert not v_member(node, OP("x*dx", 2), 0)
+    assert calls == {"apply_op": 0, "local": 1, "colon": 1}
 
 
 # -- graded bases ---------------------------------------------------------------
