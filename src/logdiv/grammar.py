@@ -3,9 +3,12 @@
 Variables are ``x1..xN`` (aliases ``x,y,z,w`` when N <= 4), derivatives are
 ``dx1..dxN`` (aliases ``dx,dy,dz,dw``); literals are integers or integer
 fractions like ``3/4``; the operators are ``+ - * ^`` with parentheses.
-In operator mode ``*`` is composition in the Weyl algebra, so parsed input
-comes out normally ordered.  The parser round-trips the printers in
-``poly`` and ``weyl``.
+In operator mode ``*`` is still composition in the Weyl algebra, so parsed
+input comes out normally ordered, but values stay polynomials until a
+derivative appears: a coefficient such as ``(x*y + 1)*dx`` is multiplied
+out as a polynomial, and the Leibniz rule runs only where a derivative
+stands left of a nonconstant coefficient (``dx*x``).  The parser
+round-trips the printers in ``poly`` and ``weyl``.
 """
 
 from __future__ import annotations
@@ -107,6 +110,22 @@ def infer_nvars(*texts):
     return n
 
 
+def _lift(value):
+    if isinstance(value, Polynomial):
+        return WeylOperator.from_polynomial(value)
+    return value
+
+
+def _mul(a, b):
+    """Weyl product of two parsed values, each a polynomial or an operator."""
+    if isinstance(a, Polynomial):
+        return a * b if isinstance(b, Polynomial) else b.left_mul(a)
+    b = _lift(b)
+    if all(q.is_constant() for q in b.terms.values()):
+        return a.right_mul(b)
+    return compose(a, b)
+
+
 class _Parser:
     def __init__(self, text, nvars, operator_mode):
         self.tokens = _tokenize(text)
@@ -125,28 +144,6 @@ class _Parser:
     def error(self, message, tok=None):
         tok = tok or self.peek()
         raise ParseError(message, tok[2], tok[3])
-
-    # algebra hooks ------------------------------------------------------
-
-    def const(self, c):
-        if self.operator_mode:
-            return WeylOperator.constant(self.nvars, c)
-        return Polynomial.constant(self.nvars, c)
-
-    def atom_var(self, kind, idx):
-        if kind == "dvar":
-            return WeylOperator.partial(self.nvars, idx)
-        if self.operator_mode:
-            return WeylOperator.from_polynomial(
-                Polynomial.variable(self.nvars, idx))
-        return Polynomial.variable(self.nvars, idx)
-
-    def mul(self, a, b):
-        if self.operator_mode:
-            return compose(a, b)
-        return a * b
-
-    # grammar --------------------------------------------------------------
 
     def parse(self):
         try:
@@ -169,6 +166,8 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
             rhs = self.term()
+            if type(value) is not type(rhs):
+                value, rhs = _lift(value), _lift(rhs)
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -176,7 +175,7 @@ class _Parser:
         value = self.unary()
         while self.peek()[0] == "*":
             self.next()
-            value = self.mul(value, self.unary())
+            value = _mul(value, self.unary())
         return value
 
     def unary(self):
@@ -192,15 +191,7 @@ class _Parser:
             tok = self.next()
             if tok[0] != "INT":
                 self.error("exponent must be a nonnegative integer", tok)
-            k = int(tok[1])
-            value = self.const(1)
-            while k:  # repeated squaring
-                if k & 1:
-                    value = self.mul(value, base)
-                k >>= 1
-                if k:
-                    base = self.mul(base, base)
-            return value
+            return base ** int(tok[1])
         return base
 
     def atom(self):
@@ -212,12 +203,15 @@ class _Parser:
                 den = self.next()
                 if den[0] != "INT" or int(den[1]) == 0:
                     self.error("expected a nonzero integer denominator", den)
-                return self.const(Fraction(num, int(den[1])))
-            return self.const(num)
+                return Polynomial.constant(self.nvars,
+                                           Fraction(num, int(den[1])))
+            return Polynomial.constant(self.nvars, num)
         if tok[0] == "NAME":
             kind, idx = _resolve_name(tok[1], self.nvars,
                                       self.operator_mode, tok[2], tok[3])
-            return self.atom_var(kind, idx)
+            if kind == "dvar":
+                return WeylOperator.partial(self.nvars, idx)
+            return Polynomial.variable(self.nvars, idx)
         if tok[0] == "(":
             value = self.expr()
             closing = self.next()
@@ -233,4 +227,4 @@ def parse_polynomial(text: str, nvars: int) -> Polynomial:
 
 
 def parse_operator(text: str, nvars: int) -> WeylOperator:
-    return _Parser(text, nvars, operator_mode=True).parse()
+    return _lift(_Parser(text, nvars, operator_mode=True).parse())

@@ -9,6 +9,7 @@ keys so that terms can be heapified and compared cheaply.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 Mono = tuple
 
@@ -18,7 +19,7 @@ Mono = tuple
 # ---------------------------------------------------------------------------
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_deg(a: Mono) -> int:
@@ -191,6 +192,9 @@ class SyzElimOrder(ModuleOrder):
 # polynomials
 # ---------------------------------------------------------------------------
 
+_ONE = Fraction(1)
+
+
 def _coerce(c) -> Fraction:
     return c if type(c) is Fraction else Fraction(c)
 
@@ -230,8 +234,8 @@ class Polynomial:
     def variable(nvars, i):
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range for {nvars} variables")
-        expo = tuple(1 if j == i else 0 for j in range(nvars))
-        return Polynomial(nvars, {expo: Fraction(1)}, _clean=False)
+        expo = (0,) * i + (1,) + (0,) * (nvars - i - 1)
+        return Polynomial(nvars, {expo: _ONE}, _clean=False)
 
     @staticmethod
     def monomial(nvars, expo, coeff=1):
@@ -341,6 +345,11 @@ class Polynomial:
             a, b = other, self
         else:
             a, b = self, other
+        if len(a.terms) == 1:  # a term times b: nothing can cancel
+            (m1, c1), = a.terms.items()
+            return Polynomial(self.nvars,
+                              {mono_mul(m1, m2): c1 * c2
+                               for m2, c2 in b.terms.items()}, _clean=False)
         for m1, c1 in a.terms.items():
             for m2, c2 in b.terms.items():
                 m = mono_mul(m1, m2)
@@ -356,6 +365,10 @@ class Polynomial:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("negative power")
+        if len(self.terms) == 1:  # c*x^m -> c^k*x^(k*m) in one step
+            (m, c), = self.terms.items()
+            return Polynomial(self.nvars, {tuple(k * e for e in m): c ** k},
+                              _clean=False)
         result = Polynomial.one(self.nvars)
         base = self
         while k:

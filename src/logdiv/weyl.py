@@ -9,7 +9,7 @@ from math import comb, inf
 
 from . import linalg
 from .poly import (DEGREVLEX, Polynomial, format_polynomial, mono_deg,
-                   var_name)
+                   mono_mul, var_name)
 
 
 class WeylOperator:
@@ -159,6 +159,38 @@ class WeylOperator:
             return WeylOperator.zero(self.nvars)
         return WeylOperator(self.nvars, {b: p * q for b, q in self.terms.items()})
 
+    def right_mul(self, Q):
+        """Compose with a constant-coefficient operator Q on the right:
+        p*d^beta * c*d^gamma = c*p*d^(beta+gamma), with no Leibniz terms."""
+        self._check(Q)
+        acc = {}
+        for beta, p in self.terms.items():
+            for gamma, q in Q.terms.items():
+                b = mono_mul(beta, gamma)
+                s = acc.get(b)
+                acc[b] = p * q if s is None else s + p * q
+        return WeylOperator(self.nvars, acc)
+
+    def __pow__(self, k):
+        """k-th power; c*d^beta with c constant goes to c^k*d^(k*beta) in
+        one step, anything else squares with ``compose``."""
+        if k < 0:
+            raise ValueError("negative power")
+        if len(self.terms) == 1:
+            (beta, c), = self.terms.items()
+            if c.is_constant():
+                return WeylOperator(self.nvars,
+                                    {tuple(k * e for e in beta): c ** k},
+                                    _clean=False)
+        result = WeylOperator.constant(self.nvars, 1)
+        base = self
+        while k:
+            if k & 1:
+                result = compose(result, base)
+            base = compose(base, base) if k > 1 else base
+            k >>= 1
+        return result
+
     def __eq__(self, other):
         if not isinstance(other, WeylOperator):
             return NotImplemented
@@ -201,14 +233,17 @@ def _sub_multi(beta):
 def compose(P: WeylOperator, Q: WeylOperator) -> WeylOperator:
     """Normally ordered product P*Q, so apply(compose(P,Q), g) equals
     apply(P, apply(Q, g)).  Uses d^beta q = sum_{delta<=beta} C(beta,delta)
-    (d^delta q) d^(beta-delta)."""
+    (d^delta q) d^(beta-delta); delta_i runs only up to the x_i-degree of
+    q, since higher derivatives of q vanish."""
     P._check(Q)
     n = P.nvars
+    # per term of Q: its coefficient's degree in each variable
+    qterms = [(gamma, q, tuple(map(max, zip(*q.terms))))
+              for gamma, q in Q.terms.items()]
     acc = {}
     for beta, p in P.terms.items():
-        deltas = list(_sub_multi(beta))
-        for gamma, q in Q.terms.items():
-            for delta in deltas:
+        for gamma, q, top in qterms:
+            for delta in _sub_multi(tuple(map(min, beta, top))):
                 dq = q.partial(delta)
                 if dq.is_zero():
                     continue
@@ -287,7 +322,7 @@ def affine_transform(P: WeylOperator, A, a):
         term = WeylOperator.from_polynomial(p.subs(subs_x))
         for j, e in enumerate(beta):
             for _ in range(e):
-                term = compose(term, new_d[j])
+                term = term.right_mul(new_d[j])
         out = out + term
     return out
 

@@ -8,16 +8,21 @@ graded-piece dimension oracle uses that division instead of the subspace
 row reductions in the main library, graded minimal generators come
 from a search of Groebner bases instead of one syzygy computation, and the
 condition rows of a graded piece come from the row builder the library
-used before its packed one (Fraction derivatives, one rref per condition).
+used before its packed one (Fraction derivatives, one rref per condition),
+and the operator parser is checked against the one the library used before
+it kept coefficients as polynomials (every value an operator, every
+product a Leibniz composition over all delta <= beta).
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
+from logdiv.grammar import ParseError, _resolve_name, _tokenize
 from logdiv.groebner import buchberger, in_submodule, vector_lead_term
 from logdiv.poly import Polynomial, mono_deg, monomials_of_degree
+from logdiv.weyl import WeylOperator
 
 
 def schoolbook_mul(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -40,6 +45,18 @@ def rand_poly(rng, nvars, max_deg, max_terms=4, zero_ok=False) -> Polynomial:
         if c:
             terms[m] = terms.get(m, Fraction(0)) + c
     return Polynomial(nvars, terms)
+
+
+def rand_op(rng, nvars, max_order, max_coeff_deg=2) -> WeylOperator:
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        beta = tuple(rng.randint(0, max_order) for _ in range(nvars))
+        if sum(beta) > max_order:
+            continue
+        p = rand_poly(rng, nvars, max_coeff_deg, zero_ok=True)
+        if not p.is_zero():
+            terms[beta] = terms.get(beta, Polynomial.zero(nvars)) + p
+    return WeylOperator(nvars, terms)
 
 
 def rand_homog_poly(rng, nvars, deg, max_terms=4) -> Polynomial:
@@ -377,3 +394,151 @@ def greedy_min_indices(vectors, degrees):
         kept.append(i)
         gb = buchberger([vectors[k] for k in kept])
     return kept, [degrees[i] for i in kept]
+
+
+# ---------------------------------------------------------------------------
+# compose-everything operator parser
+# ---------------------------------------------------------------------------
+
+def leibniz_compose(P: WeylOperator, Q: WeylOperator) -> WeylOperator:
+    """P*Q by d^beta q = sum over every delta <= beta of
+    C(beta, delta) (d^delta q) d^(beta-delta), vanishing terms included."""
+    def below(beta):
+        if not beta:
+            yield ()
+            return
+        for tail in below(beta[1:]):
+            for d in range(beta[0] + 1):
+                yield (d,) + tail
+    acc = {}
+    for beta, p in P.terms.items():
+        for gamma, q in Q.terms.items():
+            for delta in below(beta):
+                dq = q.partial(delta)
+                c = 1
+                for b, d in zip(beta, delta):
+                    c *= comb(b, d)
+                b = tuple(x - d + g for x, d, g in zip(beta, delta, gamma))
+                acc[b] = acc.get(b, Polynomial.zero(P.nvars)) + p * dq * c
+    return WeylOperator(P.nvars, acc)
+
+
+class ComposeEverythingParser:
+    """The grammar's recursive descent, evaluating in operator mode with
+    every value a ``WeylOperator``, every product ``leibniz_compose`` and
+    powers by its own squaring loop."""
+
+    def __init__(self, text, nvars, operator_mode):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.nvars = nvars
+        self.operator_mode = operator_mode
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def error(self, message, tok=None):
+        tok = tok or self.peek()
+        raise ParseError(message, tok[2], tok[3])
+
+    def const(self, c):
+        if self.operator_mode:
+            return WeylOperator.constant(self.nvars, c)
+        return Polynomial.constant(self.nvars, c)
+
+    def atom_var(self, kind, idx):
+        if kind == "dvar":
+            return WeylOperator.partial(self.nvars, idx)
+        if self.operator_mode:
+            return WeylOperator.from_polynomial(
+                Polynomial.variable(self.nvars, idx))
+        return Polynomial.variable(self.nvars, idx)
+
+    def mul(self, a, b):
+        if self.operator_mode:
+            return leibniz_compose(a, b)
+        return a * b
+
+    def parse(self):
+        try:
+            value = self.expr()
+        except RecursionError:
+            tok = self.tokens[min(self.pos, len(self.tokens) - 1)]
+            raise ParseError("expression nested too deeply", tok[2],
+                             tok[3]) from None
+        tok = self.peek()
+        if tok[0] != "EOF":
+            self.error(f"unexpected {tok[1]!r}")
+        return value
+
+    def expr(self):
+        if self.peek()[0] == "-":
+            self.next()
+            value = -self.term()
+        else:
+            value = self.term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.next()[0]
+            rhs = self.term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def term(self):
+        value = self.unary()
+        while self.peek()[0] == "*":
+            self.next()
+            value = self.mul(value, self.unary())
+        return value
+
+    def unary(self):
+        if self.peek()[0] == "-":
+            self.next()
+            return -self.unary()
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.peek()[0] == "^":
+            self.next()
+            tok = self.next()
+            if tok[0] != "INT":
+                self.error("exponent must be a nonnegative integer", tok)
+            k = int(tok[1])
+            value = self.const(1)
+            while k:  # repeated squaring
+                if k & 1:
+                    value = self.mul(value, base)
+                k >>= 1
+                if k:
+                    base = self.mul(base, base)
+            return value
+        return base
+
+    def atom(self):
+        tok = self.next()
+        if tok[0] == "INT":
+            num = int(tok[1])
+            if self.peek()[0] == "/":
+                self.next()
+                den = self.next()
+                if den[0] != "INT" or int(den[1]) == 0:
+                    self.error("expected a nonzero integer denominator", den)
+                return self.const(Fraction(num, int(den[1])))
+            return self.const(num)
+        if tok[0] == "NAME":
+            kind, idx = _resolve_name(tok[1], self.nvars,
+                                      self.operator_mode, tok[2], tok[3])
+            return self.atom_var(kind, idx)
+        if tok[0] == "(":
+            value = self.expr()
+            closing = self.next()
+            if closing[0] != ")":
+                self.error("expected ')'", closing)
+            return value
+        self.error(f"unexpected {tok[1]!r}" if tok[0] != "EOF"
+                   else "unexpected end of input", tok)

@@ -1,0 +1,164 @@
+"""The operator parser against the compose-everything parser it replaced,
+and the work it does on normally ordered text."""
+
+import random
+
+import pytest
+
+from logdiv import grammar, weyl
+from logdiv.grammar import ParseError, parse_operator, parse_polynomial
+from logdiv.weyl import WeylOperator, format_operator
+
+from oracles import ComposeEverythingParser, rand_op
+
+FIXED = [
+    "dx*x", "dx*x*dy*y^2", "(dx + y)*(x*dy)", "dy*x*dx*y", "dx^2*x^3",
+    "(-2/3*dx)^3", "(x*dx)^4", "(dx + x)^3", "(x*dy + dx - y)^4",
+    "(2*dx*dy)^5", "0^0", "dx^0", "x^0*dx", "0*dx", "dx - dx + 1",
+    "-(-(x - dx))*-dy", "((x))*((dx))^2", "-dx^2*-x^2", "3/4*dx*2/3",
+    "(1 + x)^2*dx - dx*(1 + x)^2", "dz*z*dz", "x1*dx1*x1", "dx2^3*x2^2",
+]
+
+
+def _atom(rng, n, derivatives):
+    r = rng.random()
+    if r < 0.25:
+        return str(rng.randint(0, 5))
+    if r < 0.35:
+        return f"{rng.randint(0, 5)}/{rng.randint(1, 4)}"
+    i = rng.randrange(n)
+    name = rng.choice(["xyzw"[i], f"x{i + 1}"]) if n <= 4 else f"x{i + 1}"
+    if derivatives and r < 0.65:
+        name = "d" + name
+    return name
+
+
+def rand_expr(rng, n, depth, derivatives=True):
+    """Random text of the grammar: sums, products in any order, powers,
+    unary minus and nested parentheses."""
+    if depth == 0 or rng.random() < 0.2:
+        return _atom(rng, n, derivatives)
+
+    def sub():
+        return rand_expr(rng, n, depth - 1, derivatives)
+    kind = rng.choice("+-*^(n")
+    if kind in "+-":
+        return f"{sub()} {kind} {sub()}"
+    if kind == "*":
+        return "*".join(sub() for _ in range(rng.randint(2, 3)))
+    if kind == "^":
+        return f"({sub()})^{rng.randint(0, 3)}"
+    if kind == "(":
+        return f"({sub()})"
+    return f"-{sub()}"
+
+
+def rand_product(rng, n):
+    """Factors in any order: variables, derivatives, their powers and
+    parenthesized sums, e.g. ``dx*x*(dy + y)^2*y``."""
+    def factor():
+        r = rng.random()
+        if r < 0.6:
+            return _atom(rng, n, True) + (f"^{rng.randint(0, 3)}"
+                                          if r < 0.2 else "")
+        body = f"{_atom(rng, n, True)} {rng.choice('+-')} {_atom(rng, n, True)}"
+        return f"({body})^{rng.randint(0, 2)}" if r < 0.8 else f"({body})"
+    return "*".join(factor() for _ in range(rng.randint(2, 5)))
+
+
+def texts(seed):
+    rng = random.Random(seed)
+    out = [(t, 3) for t in FIXED]
+    for _ in range(120):
+        n = rng.randint(1, 5)
+        out.append((format_operator(rand_op(rng, n, 3)), n))
+    for _ in range(120):
+        n = rng.randint(1, 3)
+        out.append((rand_product(rng, n), n))
+    for _ in range(120):
+        n = rng.randint(1, 3)
+        out.append((rand_expr(rng, n, 3), n))
+    return out
+
+
+def outcome(parse, text, n):
+    try:
+        return "ok", parse(text, n)
+    except ParseError as err:
+        return "error", str(err), err.line, err.col
+
+
+def oracle(operator_mode):
+    return lambda text, n: ComposeEverythingParser(
+        text, n, operator_mode).parse()
+
+
+def test_parser_matches_compose_everything_oracle():
+    cases = texts(83)
+    assert len(cases) >= 300
+    for text, n in cases:
+        got = parse_operator(text, n)
+        assert type(got) is WeylOperator
+        assert got == oracle(True)(text, n), text
+    rng = random.Random(89)
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        text = rand_expr(rng, n, 3, derivatives=False)
+        assert parse_polynomial(text, n) == oracle(False)(text, n), text
+
+
+def _corrupt(rng, text):
+    i = rng.randrange(len(text) + 1)
+    r = rng.random()
+    if r < 0.3:
+        return text[:i]
+    if r < 0.6:
+        return text[:i] + text[i + 1:]
+    return text[:i] + rng.choice("+-*^/()#0dx\n ") + text[i:]
+
+
+def test_parse_errors_match_oracle():
+    rng = random.Random(97)
+    malformed = ["", "x^", "x +", ")", "x/2", "1/0", "3/x", "x^-1", "x^y",
+                 "(x", "x)", "#", "x\n+ *y", "x5", "dx", "dd", "2 3",
+                 "(" * 3000 + "x" + ")" * 3000]
+    malformed += [_corrupt(rng, text) for text, _ in texts(101)[:300]]
+    errors = 0
+    for text in malformed:
+        try:
+            n = min(grammar.infer_nvars(text), 3)
+        except ParseError:  # an unexpected character
+            n = 2
+        for mode, parse in ((True, parse_operator),
+                            (False, parse_polynomial)):
+            new, old = outcome(parse, text, n), outcome(oracle(mode), text, n)
+            assert new == old, (text, mode)
+            errors += new[0] == "error"
+    assert errors >= 300
+
+
+@pytest.fixture
+def compose_calls(monkeypatch):
+    """Count Weyl compositions, made by the parser or by operator powers."""
+    calls = []
+
+    def spy(real):
+        def counted(P, Q):
+            calls.append((P, Q))
+            return real(P, Q)
+        return counted
+    monkeypatch.setattr(grammar, "compose", spy(grammar.compose))
+    monkeypatch.setattr(weyl, "compose", spy(weyl.compose))
+    return calls
+
+
+def test_normally_ordered_text_parses_without_composition(compose_calls):
+    rng = random.Random(103)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        A = rand_op(rng, n, 3)
+        assert parse_operator(format_operator(A), n) == A
+    assert parse_operator("dx^1000000000", 1).order() == 1000000000
+    assert compose_calls == []
+    assert parse_operator("dx*x", 1) == parse_operator("x*dx + 1", 1)
+    assert len(compose_calls) == 1

@@ -10,7 +10,7 @@ from logdiv.poly import Polynomial, divide_exact, monomials_of_degree
 from logdiv.weyl import (WeylOperator, affine_transform, apply_op,
                          commutator, compose, symbol)
 
-from oracles import rand_poly
+from oracles import leibniz_compose, rand_op, rand_poly
 
 
 def P(s, n):
@@ -19,18 +19,6 @@ def P(s, n):
 
 def OP(s, n):
     return parse_operator(s, n)
-
-
-def rand_op(rng, nvars, max_order, max_coeff_deg=2):
-    terms = {}
-    for _ in range(rng.randint(1, 3)):
-        beta = tuple(rng.randint(0, max_order) for _ in range(nvars))
-        if sum(beta) > max_order:
-            continue
-        p = rand_poly(rng, nvars, max_coeff_deg, zero_ok=True)
-        if not p.is_zero():
-            terms[beta] = terms.get(beta, Polynomial.zero(nvars)) + p
-    return WeylOperator(nvars, terms)
 
 
 def test_canonical_commutation():
@@ -65,7 +53,9 @@ def test_example9_operator_drops_into_the_divisor_ideal():
 
 def test_compose_matches_apply_oracle_on_eta_fields():
     # order-2 product of two arrangement fields, checked against iterated
-    # application on every monomial of degree <= 4
+    # application on every monomial of degree <= 4; then random operators
+    # whose derivative exponents exceed the degrees of the coefficients
+    # they meet, against the all-delta Leibniz sum as well
     from logdiv.arrangements import generic_dn
     arr = generic_dn(3)
     etas = arr.eta_list()
@@ -78,6 +68,21 @@ def test_compose_matches_apply_oracle_on_eta_fields():
         for m in monomials_of_degree(3, d):
             g = Polynomial.monomial(3, m)
             assert apply_op(C, g) == apply_op(P12, apply_op(P13, g))
+    rng = random.Random(71)
+    past = 0
+    for _ in range(25):
+        n = rng.randint(1, 2)
+        A = rand_op(rng, n, 5, max_coeff_deg=1)
+        B = rand_op(rng, n, 2, max_coeff_deg=1)
+        C = compose(A, B)
+        assert C == leibniz_compose(A, B)
+        past += any(e > q.degree() for beta in A.terms for e in beta
+                    for q in B.terms.values())
+        for d in range(8):
+            for m in monomials_of_degree(n, d):
+                g = Polynomial.monomial(n, m)
+                assert apply_op(C, g) == apply_op(A, apply_op(B, g))
+    assert past >= 10
 
 
 def test_bracket_identity_with_function_coefficient():
@@ -203,4 +208,7 @@ def test_parsed_powers_square_repeatedly():
     t0 = time.perf_counter()
     assert P("x^1000000", 1).degree() == 1000000
     assert OP("dx^5000", 1).order() == 5000
+    assert OP("dx^1000000000", 1).order() == 1000000000
+    assert OP("dx^1000000*x", 1) == \
+        OP("x*dx^1000000 + 1000000*dx^999999", 1)
     assert time.perf_counter() - t0 < 1.0
