@@ -18,6 +18,11 @@ as reductions proceed (packed exponents after Monagan and Pearce, 2007):
   the exponents together, and terms compare as ints.
 * A product that sets a guard bit raises ``_Overflow``, and the
   computation restarts from its inputs with slots of twice the width.
+* Buchberger's algorithm keeps its pairs and basis by the Gebauer-Moller
+  update (J. Symbolic Comput. 6, 1988): criteria B, M and F, and the
+  product criterion for ideals, prune the S-pairs, and a reducer whose
+  lead a new lead divides leaves the basis.  The lcm tests are int ops on
+  packed monomials.
 
 Fractions appear only at the API boundary.  Reduced Groebner bases are
 unique for a fixed order, so all results are deterministic across runs.
@@ -343,60 +348,91 @@ class _Engine:
     # -- Buchberger ---------------------------------------------------------
 
     def buchberger(self, vecs):
-        """Reduced basis as reducers sorted by lead."""
-        reducers = []   # in order found
-        exps = []       # exponents of each lead
-        members = {}    # component -> positions in reducers
-        by_comp = {}
-        pairs = []
+        """Reduced basis as reducers sorted by lead.
+
+        Pairs and basis follow the Gebauer-Moller update (1988).  When a
+        reducer h joins, criterion B drops each pending pair (i, j) of h's
+        component whose lcm T lead(h) divides with lcm(i, h) and lcm(j, h)
+        both unequal to T.  Of the new pairs (g, h), criteria M and F keep
+        one per minimal lcm, and for ideals none whose lcm group holds a
+        pair with coprime leads (the product criterion).  Reducers whose
+        lead lead(h) divides leave the basis that forms pairs and the
+        normal-form candidates, so ``_reduce`` sees only the current basis.
+        """
+        guard, shift = self.guard, self.slot - 1
+        low = (guard >> shift) * self.emax      # emax in each variable slot
         ideal = self.rank == 1
+        reducers = []   # in order found; pairs refer to positions
+        basis = {}      # component -> positions of the current basis
+        by_comp = {}    # component -> the same reducers, for normal forms
+        pending = {}    # component -> {(i, j): lcm monomial} of open pairs
+        heap = []
 
         def add(vec):
             r = self.reducer(vec)
-            new = len(reducers)
+            h, lt, lm = len(reducers), r[0], r[1]
             reducers.append(r)
-            exps.append(self.exps(r[0]))
-            comp = r[1] >> self.cshift
-            same = members.setdefault(comp, [])
-            for k in same:
-                tl, deg = self.lcm(reducers[k][0], r[0])
-                heappush(pairs, (deg, tl, k, new))
-            same.append(new)
-            by_comp.setdefault(comp, []).append(r)
+            comp = lm >> self.cshift
+            if comp not in basis:
+                basis[comp], by_comp[comp], pending[comp] = [], [], {}
+            same, pend = basis[comp], pending[comp]
+            # criterion B; for a, h | T, lcm(a, h) != T iff some slot has
+            # both a and h below T, iff (T - a + low) & (T - h + low)
+            # sets a guard bit
+            for (i, j), big in list(pend.items()):
+                th = big - lm
+                if th & guard:
+                    continue
+                th += low
+                if (th & (big - reducers[i][1] + low) & guard and
+                        th & (big - reducers[j][1] + low) & guard):
+                    del pend[i, j]
+            # criteria M and F: a pair is kept only if no kept lcm divides
+            # its own.  A divisor of a packed monomial is a smaller int, so
+            # ascending lcms put divisors first; a coprime pair goes first
+            # within its lcm, so the product criterion drops the group.
+            # lcm(a, h) takes a's slots where a + guard - h keeps the guard
+            # bit, i.e. where a >= h.
+            new = []
+            divided = False
+            for g in same:
+                a = reducers[g][1]
+                ge = ((a | guard) - lm) & guard
+                mask = (ge << 1) - (ge >> shift)
+                big = (a & mask) | (lm & ~mask)
+                new.append((big, not (ideal and big == a + lm), g))
+                divided = divided or big == a
+            new.sort()
+            lcms = []
+            for big, not_coprime, g in new:
+                for m in lcms:
+                    if not (big - m) & guard:
+                        break
+                else:
+                    lcms.append(big)
+                    if not_coprime:
+                        tl, deg = self.lcm(reducers[g][0], lt)
+                        pend[g, h] = big
+                        heappush(heap, (deg, tl, g, h))
+            if divided:
+                same[:] = [g for g in same if (reducers[g][1] - lm) & guard]
+                by_comp[comp] = [reducers[g] for g in same]
+            same.append(h)
+            by_comp[comp].append(r)
 
         for vec in vecs:
             if vec:
                 add(dict(vec))
-        while pairs:
-            _, tl, i, j = heappop(pairs)
-            ri, rj = reducers[i], reducers[j]
-            if ideal and tl == ri[0] + rj[0] - self.cterm[0]:
-                continue  # product criterion (ideals only)
-            if self._chain_skip(reducers, exps, members[ri[1] >> self.cshift],
-                                i, j, tl):
-                continue
-            s = self.s_vector(ri, rj, tl)
+        while heap:
+            _, tl, i, j = heappop(heap)
+            if pending[reducers[i][1] >> self.cshift].pop((i, j), None) is None:
+                continue  # dropped by criterion B
+            s = self.s_vector(reducers[i], reducers[j], tl)
             if s:
                 nf, _ = self.normal_form(s, by_comp)
                 if nf:
                     add(nf)
-        return self._reduce(reducers)
-
-    def _chain_skip(self, reducers, exps, same, i, j, tl):
-        # Buchberger's second criterion, strict-divisor form: sound without
-        # pair bookkeeping because both sub-lcms properly divide lcm(i,j).
-        lm = tl & self.mmask
-        el = None
-        for k in same:
-            if k == i or k == j or (lm - reducers[k][1]) & self.guard:
-                continue
-            if el is None:
-                el = self.exps(tl)
-            if (tuple(map(max, exps[k], exps[i])) == el or
-                    tuple(map(max, exps[k], exps[j])) == el):
-                continue
-            return True
-        return False
+        return self._reduce(itertools.chain.from_iterable(by_comp.values()))
 
     def _reduce(self, reducers):
         # a lead divides only leads of its own component

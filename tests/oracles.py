@@ -9,6 +9,8 @@ row reductions in the main library, graded minimal generators come
 from a search of Groebner bases instead of one syzygy computation, and the
 condition rows of a graded piece come from the row builder the library
 used before its packed one (Fraction derivatives, one rref per condition),
+reduced Groebner bases come from a textbook Buchberger on Fraction term
+maps that treats every pair (no pair criteria, no packed terms),
 and the operator parser is checked against the one the library used before
 it kept coefficients as polynomials (every value an operator, every
 product a Leibniz composition over all delta <= beta).
@@ -20,7 +22,8 @@ from itertools import combinations
 from math import comb, lcm
 
 from logdiv.grammar import ParseError, _resolve_name, _tokenize
-from logdiv.groebner import buchberger, in_submodule, vector_lead_term
+from logdiv.groebner import (FreeModuleVector, buchberger, in_submodule,
+                             vector_lead_term)
 from logdiv.poly import Polynomial, mono_deg, monomials_of_degree
 from logdiv.weyl import WeylOperator
 
@@ -122,6 +125,85 @@ def divmod_single(g: Polynomial, h: Polynomial):
         else:
             r[m] = c
     return Polynomial(g.nvars, q), Polynomial(g.nvars, r)
+
+
+# ---------------------------------------------------------------------------
+# textbook Buchberger on Fraction term maps (no pair criteria)
+# ---------------------------------------------------------------------------
+
+def _module_terms(v):
+    return {(c, m): a for c, p in enumerate(v.components)
+            for m, a in p.terms.items()}
+
+
+def _reduce_terms(f, basis, key):
+    """Full reduction of the term map ``f`` by the (lead, term map) pairs of
+    ``basis``, always by the first one whose lead divides."""
+    f, out = dict(f), {}
+    while f:
+        t = max(f, key=key)
+        c = f.pop(t)
+        for lt, g in basis:
+            if lt[0] == t[0] and all(a <= b for a, b in zip(lt[1], t[1])):
+                u = tuple(b - a for a, b in zip(lt[1], t[1]))
+                q = c / g[lt]
+                for (gc, gm), ga in g.items():
+                    if (gc, gm) != lt:
+                        s = (gc, tuple(a + b for a, b in zip(u, gm)))
+                        val = f.get(s, 0) - q * ga
+                        if val:
+                            f[s] = val
+                        else:
+                            f.pop(s, None)
+                break
+        else:
+            out[t] = c
+    return out
+
+
+def textbook_buchberger(gens, order):
+    """Generators of the reduced Groebner basis of <gens> under ``order``,
+    monic and sorted by ascending lead.  Every pair of elements with leads
+    in one component is treated, with no criterion; then the elements whose
+    lead another lead divides are dropped and the rest fully interreduced."""
+    key = order.key
+    rank, nvars = gens[0].rank, gens[0].nvars
+    basis = []
+    for v in gens:
+        f = _module_terms(v)
+        if f:
+            basis.append((max(f, key=key), f))
+    pairs = list(combinations(range(len(basis)), 2))
+    while pairs:
+        i, j = pairs.pop()
+        (li, fi), (lj, fj) = basis[i], basis[j]
+        if li[0] != lj[0]:
+            continue
+        top = tuple(map(max, li[1], lj[1]))
+        s = {}
+        for lt, f, sign in ((li, fi, 1), (lj, fj, -1)):
+            u = tuple(a - b for a, b in zip(top, lt[1]))
+            q = Fraction(sign) / f[lt]
+            for (c, m), a in f.items():
+                t = (c, tuple(x + y for x, y in zip(u, m)))
+                s[t] = s.get(t, 0) + q * a
+        r = _reduce_terms({t: a for t, a in s.items() if a}, basis, key)
+        if r:
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append((max(r, key=key), r))
+    minimal = []
+    for lt, f in sorted(basis, key=lambda b: key(b[0])):
+        if not any(k[0] == lt[0] and all(a <= b for a, b in zip(k[1], lt[1]))
+                   for k, _ in minimal):
+            minimal.append((lt, f))
+    out = []
+    for pos, (lt, f) in enumerate(minimal):
+        r = _reduce_terms(f, minimal[:pos] + minimal[pos + 1:], key)
+        comps = [{} for _ in range(rank)]
+        for (c, m), a in r.items():
+            comps[c][m] = a / r[lt]
+        out.append(FreeModuleVector([Polynomial(nvars, p) for p in comps]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +440,6 @@ def torsion_class_exists_at_degree(rel_vecs, rank, nvars, var, d):
         for m in lo:
             vec_comps = [Polynomial.zero(nvars)] * rank
             vec_comps[comp] = Polynomial.monomial(nvars, m) * xv
-            from logdiv.groebner import FreeModuleVector
             row = module_vec_to_row(FreeModuleVector(vec_comps), rank, hi_index)
             for rrow, piv in zip(hi_red, hi_piv):
                 c = row[piv]

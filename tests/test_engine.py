@@ -137,9 +137,15 @@ def test_overflow_restart_gives_the_same_bases(monkeypatch, slot):
     module = [FreeModuleVector([P(a, n), P(b, n)])
               for a, b in (("x", "y*z"), ("y", "x - z"), ("z", "x*y"))]
     lex = TopOrder(LEX)
+    # multilinear inputs whose reduced lex basis holds x5^5: every run must
+    # outgrow 2- and 3-bit slots, whichever pairs it treats
+    chain = [FreeModuleVector([P(t, 5)])
+             for t in ("x1 - x2*x3", "x2 - x3*x4", "x3 - x4*x5", "x4 - x5")]
     expected = [buchberger(ideal).generators, buchberger(ideal, lex).generators,
                 buchberger(module).generators, syzygies(module),
-                syzygies(ideal)]
+                syzygies(ideal), buchberger(chain, lex).generators]
+    assert expected[-1] == [FreeModuleVector([P(t, 5)]) for t in
+                            ("x4 - x5", "x3 - x5^2", "x2 - x5^3", "x1 - x5^5")]
     big = FreeModuleVector([P("x^9*y^2 + z^11", n)])
     expected_nf = normal_form(big, buchberger(ideal))
     # x*y*z and y*z - x fit 2-bit slots, but the reduction makes x^2
@@ -148,7 +154,8 @@ def test_overflow_restart_gives_the_same_bases(monkeypatch, slot):
 
     seen = _restarts(monkeypatch, slot)
     got = [buchberger(ideal).generators, buchberger(ideal, lex).generators,
-           buchberger(module).generators, syzygies(module), syzygies(ideal)]
+           buchberger(module).generators, syzygies(module), syzygies(ideal),
+           buchberger(chain, lex).generators]
     assert got == expected
     assert max(seen) > slot           # the narrow slots did overflow
     gb = buchberger(ideal)
