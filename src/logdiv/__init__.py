@@ -5,17 +5,16 @@ from .poly import (DEGREVLEX, LEX, BlockElim, Degrevlex, Lex, ModuleOrder,
                    Polynomial, PotOrder, SyzElimOrder, TermOrder, TopOrder,
                    divide_exact)
 from .grammar import ParseError, parse_operator, parse_polynomial
-from .weyl import (WeylOperator, affine_transform, apply_op, commutator,
-                   compose, symbol)
+from .weyl import WeylOperator, apply_op, compose, symbol
 from .groebner import (FreeModuleVector, GroebnerBasis, buchberger, codim,
                        eliminate, ideal_gb, ideal_member, ideal_quotient,
                        in_submodule, is_groebner_basis,
                        local_membership_at_origin, module_lift, normal_form,
                        syzygies)
 from .logder import (DerivationModule, InvalidDivisor, ann_theta, euler_field,
-                     log_derivations, saito_freeness_test, split_check)
+                     log_derivations, saito_freeness_test)
 from .symalg import (GradeCertificate, ReesKernel, SymPresentation,
-                     TorsionReport, depth_via_resolution, grade_criterion,
+                     TorsionReport, grade_criterion,
                      pi_injectivity_test, rees_kernel, sym_presentation,
                      torsion_test_symk)
 from .vfilt import (GradedOperatorSpace, NonHomogeneousError,

@@ -48,9 +48,6 @@ class DnArrangement(Arrangement):
     def sigma_list(self):
         return [self.sigmas[ijk] for ijk in sorted(self.sigmas)]
 
-    def chi_operator(self) -> WeylOperator:
-        return WeylOperator.vector_field(self.chi.components)
-
     def a_module(self) -> DerivationModule:
         """The eta-generated submodule as a derivation module along f."""
         gens = self.eta_list()

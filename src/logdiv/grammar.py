@@ -49,9 +49,9 @@ def _tokenize(text):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("INT", text[i:j], line, col))
             col += j - i
@@ -73,6 +73,11 @@ def _tokenize(text):
 _ALIAS_INDEX = {"x": 0, "y": 1, "z": 2, "w": 3}
 
 
+def _is_index(text):
+    """ASCII digits only: str.isdigit also takes '²' and '٣'."""
+    return text.isascii() and text.isdigit()
+
+
 def _resolve_name(name, nvars, allow_d, line, col):
     """Return ('var'|'dvar', index)."""
     kind = "var"
@@ -84,7 +89,7 @@ def _resolve_name(name, nvars, allow_d, line, col):
     idx = None
     if body in _ALIAS_INDEX and nvars <= 4:
         idx = _ALIAS_INDEX[body]
-    elif body.startswith("x") and body[1:].isdigit():
+    elif body.startswith("x") and _is_index(body[1:]):
         idx = int(body[1:]) - 1
     if kind == "var" and idx is None and allow_d is False and name.startswith("d"):
         raise ParseError(f"unknown variable {name!r} (derivatives are not "
@@ -105,7 +110,7 @@ def infer_nvars(*texts):
             body = value[1:] if value.startswith("d") and len(value) > 1 else value
             if body in _ALIAS_INDEX:
                 n = max(n, _ALIAS_INDEX[body] + 1)
-            elif body.startswith("x") and body[1:].isdigit():
+            elif body.startswith("x") and _is_index(body[1:]):
                 n = max(n, int(body[1:]))
     return n
 

@@ -521,12 +521,12 @@ def nonzerodivisor_certified(gens, i, weights=None, shifts=None) -> bool:
     return not any(r[1] & field for r in reducers)
 
 
-def vector_lead_term(v: FreeModuleVector, order: ModuleOrder | None = None):
-    """Leading (component, monomial) of a nonzero vector with its sort key
-    and coefficient."""
+def vector_lead_term(v: FreeModuleVector):
+    """Leading (component, monomial) of a nonzero vector under the default
+    module order, with its sort key and coefficient."""
     if v.is_zero():
         raise ValueError("the zero vector has no leading term")
-    key = (order or default_module_order()).key
+    key = default_module_order().key
     k, t = max((key((c, m)), (c, m))
                for c, p in enumerate(v.components) for m in p.terms)
     return t, k, v.components[t[0]].terms[t[1]]
@@ -706,15 +706,11 @@ def gb_equal(a: GroebnerBasis, b: GroebnerBasis) -> bool:
             all(in_submodule(v, a) for v in b.generators))
 
 
-def eliminate(gb_or_polys, elim_vars, nvars=None) -> GroebnerBasis:
+def eliminate(polys, elim_vars, nvars=None) -> GroebnerBasis:
     """Intersection with the subring on the complementary variables, as a
     reduced degrevlex Groebner basis (still in the ambient ring)."""
-    if isinstance(gb_or_polys, GroebnerBasis):
-        polys = gb_polys(gb_or_polys)
-        nvars = gb_or_polys.nvars
-    else:
-        polys = list(gb_or_polys)
-        nvars = nvars or polys[0].nvars
+    polys = list(polys)
+    nvars = nvars or polys[0].nvars
     elim = sorted(set(elim_vars))
     order = TopOrder(BlockElim(elim, nvars))
     gb = ideal_gb(polys, order) if any(not p.is_zero() for p in polys) else None

@@ -390,17 +390,6 @@ def residual(vec, rref_rows, pivots):
     return v
 
 
-def invert(matrix):
-    """Inverse of a square rational matrix, or None if singular."""
-    n = len(matrix)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    red, pivots = rref(aug, 2 * n)
-    if pivots[:n] != list(range(n)) or len(pivots) < n:
-        return None
-    return [row[n:] for row in red[:n]]
-
-
 def kernel_basis(rows, ncols):
     """Canonical basis of the right kernel {x : A x = 0}.
 

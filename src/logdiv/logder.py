@@ -1,6 +1,6 @@
 """Logarithmic vector fields along a divisor: the module Der(log D), the
-annihilator of the defining equation, Euler fields, Saito's freeness
-criterion and the splitting test."""
+annihilator of the defining equation, Euler fields and Saito's freeness
+criterion."""
 
 from __future__ import annotations
 
@@ -210,23 +210,6 @@ def saito_freeness_test(dm: DerivationModule) -> FreenessVerdict:
             return FreenessVerdict("free", basis=kept, determinant=det,
                                    min_generators=mu)
     return FreenessVerdict("not free at 0", min_generators=mu)
-
-
-def split_check(dm: DerivationModule, chi: WeylOperator,
-                a_generators) -> bool:
-    """Is O*chi + <A> a direct sum?  True iff no syzygy of (chi, A) has a
-    nonzero chi-coefficient."""
-    f = dm.divisor
-    unit_betas = {tuple(int(i == j) for j in range(dm.nvars))
-                  for i in range(dm.nvars)}
-    if not chi.terms or not set(chi.terms) <= unit_betas:
-        raise ValueError("chi is not a vector field")
-    chi_vec = FreeModuleVector(chi.first_order_part())
-    val = apply_op(chi, f)
-    if not val.is_zero() and divide_exact(val, f) is None:
-        raise ValueError("chi is not logarithmic along f")
-    syz = syzygies([chi_vec] + list(a_generators))
-    return all(s.components[0].is_zero() for s in syz)
 
 
 def poly_det(rows):

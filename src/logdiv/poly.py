@@ -276,14 +276,6 @@ class Polynomial:
         degs = {sum(w * e for w, e in zip(weights, m)) for m in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_components(self):
-        """Decompose into [(degree, component)], ascending; empty for 0."""
-        parts = {}
-        for m, c in self.terms.items():
-            parts.setdefault(mono_deg(m), {})[m] = c
-        return [(d, Polynomial(self.nvars, t, _clean=False))
-                for d, t in sorted(parts.items())]
-
     def lead_mono(self, order: TermOrder = DEGREVLEX) -> Mono:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
@@ -410,25 +402,6 @@ class Polynomial:
                     return p
                 p = p.deriv(i)
         return p
-
-    def subs(self, values):
-        """Substitute values[i] (polynomials over a common ring) for x_i."""
-        if len(values) != self.nvars:
-            raise ValueError("substitution list length mismatch")
-        tgt = values[0].nvars if values else 0
-        result = Polynomial.zero(tgt)
-        powers = [{} for _ in range(self.nvars)]
-        for m, c in self.terms.items():
-            term = Polynomial.constant(tgt, c)
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                cache = powers[i]
-                if e not in cache:
-                    cache[e] = values[i] ** e
-                term = term * cache[e]
-            result = result + term
-        return result
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Symmetric algebras of derivation modules, the Rees kernel, the
-injectivity/torsion tests, grade computations and depth via graded minimal
-free resolutions.
+injectivity/torsion tests and the grade criterion.
 
 Ring conventions: the symmetric algebra of a module with m generators over
 O = Q[x_1..x_n] is presented in the polynomial ring on n+m variables
@@ -17,8 +16,8 @@ from itertools import combinations_with_replacement
 from .groebner import (FreeModuleVector, GroebnerBasis, buchberger, codim,
                        default_module_order, eliminate, gb_equal, gb_polys,
                        graded_min_generators, ideal_gb, module_quotient_by_poly,
-                       nonzerodivisor_certified, normal_form, syzygies,
-                       vector_degree, vector_lead_term)
+                       nonzerodivisor_certified, normal_form,
+                       vector_lead_term)
 from .logder import DerivationModule
 from .poly import Polynomial, monomials_of_degree
 from .weyl import WeylOperator, symbol, xi_component_vector
@@ -274,68 +273,3 @@ def grade_criterion(dm: DerivationModule, dimZ: int) -> GradeCertificate:
                             ideal_generators=entries,
                             grade=grade, required=required,
                             certified=bool(grade >= required))
-
-
-# ---------------------------------------------------------------------------
-# depth via graded minimal free resolution
-# ---------------------------------------------------------------------------
-
-def _eliminate_units(rank, relations, shifts, nvars):
-    """Strip presentation generators hit by relations with constant entries
-    so that the remaining presentation is minimal at level one."""
-    rels = [list(v.components) for v in relations]
-    shifts = list(shifts)
-    changed = True
-    while changed:
-        changed = False
-        for ri, rel in enumerate(rels):
-            unit_pos = None
-            for p, entry in enumerate(rel):
-                if not entry.is_zero() and entry.is_constant():
-                    unit_pos = p
-                    break
-            if unit_pos is None:
-                continue
-            c = rel[unit_pos].constant_term()
-            for other in rels:
-                if other is rel or other[unit_pos].is_zero():
-                    continue
-                factor = other[unit_pos] * (1 / c)
-                for q in range(rank):
-                    other[q] = other[q] - factor * rel[q]
-            del rels[ri]
-            for other in rels:
-                del other[unit_pos]
-            del shifts[unit_pos]
-            rank -= 1
-            changed = True
-            break
-    out = []
-    for rel in rels:
-        if rank == 0:
-            continue
-        v = FreeModuleVector(rel)
-        if not v.is_zero():
-            out.append(v)
-    return rank, out, shifts
-
-
-def depth_via_resolution(rank: int, relations, nvars: int,
-                         shifts=None, weights=None) -> int:
-    """Depth at the irrelevant maximal ideal of the graded module
-    O^rank / <relations>, as nvars - (length of a graded minimal free
-    resolution) by Auslander-Buchsbaum."""
-    w = tuple(weights) if weights is not None else (1,) * nvars
-    shifts = list(shifts) if shifts is not None else [0] * rank
-    for v in relations:
-        vector_degree(v, weights=w, shifts=shifts)  # raises if non-graded
-    rank, rels, shifts = _eliminate_units(rank, relations, shifts, nvars)
-    if rank == 0:
-        raise ValueError("presentation collapsed to the zero module")
-    pd = 0
-    cur, degs = graded_min_generators(rels, weights=w, shifts=shifts)
-    while cur:
-        pd += 1
-        nxt = syzygies(cur)
-        cur, degs = graded_min_generators(nxt, weights=w, shifts=degs)
-    return nvars - pd

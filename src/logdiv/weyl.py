@@ -7,7 +7,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, inf
 
-from . import linalg
 from .poly import (DEGREVLEX, Polynomial, format_polynomial, mono_deg,
                    mono_mul, var_name)
 
@@ -255,10 +254,6 @@ def compose(P: WeylOperator, Q: WeylOperator) -> WeylOperator:
     return WeylOperator(n, acc)
 
 
-def commutator(P: WeylOperator, Q: WeylOperator) -> WeylOperator:
-    return compose(P, Q) - compose(Q, P)
-
-
 def symbol(P: WeylOperator) -> Polynomial:
     """Principal symbol: top-order part with d_i replaced by xi_i.
 
@@ -288,43 +283,6 @@ def xi_component_vector(sym: Polynomial, nvars: int, k: int, xi_monos):
             raise ValueError("symbol has terms outside the requested xi-degree")
         coords[dm][xm] = c
     return [Polynomial(nvars, coords[m]) for m in xi_monos]
-
-
-def affine_transform(P: WeylOperator, A, a):
-    """Pull the operator through the affine substitution x = A u + a.
-
-    Returns Q with Q(g o phi) = (P g) o phi for phi(u) = A u + a, so
-    membership statements that are invariant under affine coordinate
-    changes transport along (P, f) -> (Q, f o phi)."""
-    n = P.nvars
-    A = [[Fraction(c) for c in row] for row in A]
-    a = [Fraction(c) for c in a]
-    B = linalg.invert(A)
-    if B is None:
-        raise ValueError("affine transform needs an invertible matrix")
-    subs_x = []
-    for j in range(n):
-        p = Polynomial.constant(n, a[j])
-        for i in range(n):
-            if A[j][i]:
-                p = p + Polynomial.variable(n, i) * A[j][i]
-        subs_x.append(p)
-    new_d = []
-    for j in range(n):
-        terms = {}
-        for i in range(n):
-            if B[i][j]:
-                beta = tuple(1 if t == i else 0 for t in range(n))
-                terms[beta] = Polynomial.constant(n, B[i][j])
-        new_d.append(WeylOperator(n, terms))
-    out = WeylOperator.zero(n)
-    for beta, p in P.terms.items():
-        term = WeylOperator.from_polynomial(p.subs(subs_x))
-        for j, e in enumerate(beta):
-            for _ in range(e):
-                term = term.right_mul(new_d[j])
-        out = out + term
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,13 @@ maps that treats every pair (no pair criteria, no packed terms),
 and the operator parser is checked against the one the library used before
 it kept coefficients as polynomials (every value an operator, every
 product a Leibniz composition over all delta <= beta).
+
+The last section holds helpers that tests share but the library does not
+need: ``subs`` (substitution), ``affine_map`` and ``affine_transform`` (an
+operator pulled through x = A u + a, with A inverted by ``gauss_rref``, not
+by the library's linear algebra), ``commutator`` (built on the library's
+``compose``, which the bracket tests check) and ``is_direct_sum`` (no
+syzygy of (chi, gens) has a chi entry).
 """
 
 import random
@@ -23,9 +30,9 @@ from math import comb, lcm
 
 from logdiv.grammar import ParseError, _resolve_name, _tokenize
 from logdiv.groebner import (FreeModuleVector, buchberger, in_submodule,
-                             vector_lead_term)
+                             syzygies, vector_lead_term)
 from logdiv.poly import Polynomial, mono_deg, monomials_of_degree
-from logdiv.weyl import WeylOperator
+from logdiv.weyl import WeylOperator, compose
 
 
 def schoolbook_mul(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -623,3 +630,59 @@ class ComposeEverythingParser:
             return value
         self.error(f"unexpected {tok[1]!r}" if tok[0] != "EOF"
                    else "unexpected end of input", tok)
+
+
+# ---------------------------------------------------------------------------
+# substitution, affine coordinate changes, brackets and direct sums
+# ---------------------------------------------------------------------------
+
+def subs(p: Polynomial, values) -> Polynomial:
+    """p with values[i] (polynomials over one ring) substituted for x_i."""
+    nvars = values[0].nvars
+    out = Polynomial.zero(nvars)
+    for m, c in p.terms.items():
+        term = Polynomial.constant(nvars, c)
+        for v, e in zip(values, m):
+            term = term * v ** e
+        out = out + term
+    return out
+
+
+def affine_map(A, a):
+    """The coordinates x = A u + a as polynomials in u."""
+    n = len(A)
+    return [sum((Polynomial.variable(n, i) * A[j][i] for i in range(n)),
+                Polynomial.constant(n, a[j])) for j in range(n)]
+
+
+def affine_transform(P: WeylOperator, A, a) -> WeylOperator:
+    """Q with Q(g o phi) = (P g) o phi for phi(u) = A u + a: coefficients
+    are substituted, and d/dx_j becomes sum_i B[i][j] d/du_i, B = A^-1
+    from ``gauss_rref`` of (A | I)."""
+    n = P.nvars
+    red, pivots = gauss_rref([list(row) + [int(i == j) for j in range(n)]
+                              for i, row in enumerate(A)], 2 * n)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("affine transform needs an invertible matrix")
+    d = [WeylOperator.vector_field([Polynomial.constant(n, red[i][n + j])
+                                    for i in range(n)]) for j in range(n)]
+    phi = affine_map(A, a)
+    out = WeylOperator.zero(n)
+    for beta, p in P.terms.items():
+        term = WeylOperator.from_polynomial(subs(p, phi))
+        for j, e in enumerate(beta):
+            for _ in range(e):
+                term = term.right_mul(d[j])
+        out = out + term
+    return out
+
+
+def commutator(P: WeylOperator, Q: WeylOperator) -> WeylOperator:
+    return compose(P, Q) - compose(Q, P)
+
+
+def is_direct_sum(chi_vec, gens) -> bool:
+    """Is O*chi + <gens> direct?  True iff no syzygy of (chi, gens) has a
+    nonzero chi entry."""
+    return all(s.components[0].is_zero()
+               for s in syzygies([chi_vec] + list(gens)))

@@ -10,6 +10,7 @@ from logdiv.grammar import ParseError, parse_operator, parse_polynomial
 from logdiv.weyl import WeylOperator, format_operator
 
 from oracles import ComposeEverythingParser, rand_op
+from test_cli import invoke
 
 FIXED = [
     "dx*x", "dx*x*dy*y^2", "(dx + y)*(x*dy)", "dy*x*dx*y", "dx^2*x^3",
@@ -162,3 +163,36 @@ def test_normally_ordered_text_parses_without_composition(compose_calls):
     assert compose_calls == []
     assert parse_operator("dx*x", 1) == parse_operator("x*dx + 1", 1)
     assert len(compose_calls) == 1
+
+
+# superscripts and non-ASCII decimal digits pass str.isdigit; int() rejects
+# the first and reads the second as ASCII digits
+NON_ASCII_DIGITS = [("x^²", 1, 1, 3), ("x²", 3, 1, 1),
+                    ("x^٣", 1, 1, 3), ("x٣", 3, 1, 1),
+                    ("1 +\n dx²", 3, 2, 2), ("x1٣", 3, 1, 1),
+                    ("٣*x", 1, 1, 1)]
+
+
+@pytest.mark.parametrize("text, n, line, col", NON_ASCII_DIGITS)
+def test_non_ascii_digits_are_parse_errors(text, n, line, col):
+    for parse in (parse_polynomial, parse_operator):
+        with pytest.raises(ParseError) as err:
+            parse(text, n)
+        assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_infer_nvars_reads_ascii_indices_only():
+    for text in ("x^²", "x^٣", "٣*x"):
+        with pytest.raises(ParseError):
+            grammar.infer_nvars(text)
+    # a name such as x٣ is no variable, so it needs no larger ring
+    assert grammar.infer_nvars("x²", "x٣", "dx1٣") == 1
+    assert grammar.infer_nvars("x3", "dx12") == 12
+
+
+def test_non_ascii_digits_are_cli_parse_errors():
+    for text, _, line, col in NON_ASCII_DIGITS:
+        code, out, err = invoke(["euler", text])
+        assert code == 2 and out == "", text
+        assert err.startswith("parse error:"), err
+        assert f"(line {line}, column {col})" in err

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -12,11 +11,11 @@ from logdiv.groebner import (FreeModuleVector, buchberger, gb_equal,
                              in_submodule, normal_form)
 from logdiv.logder import (InvalidDivisor, ann_theta, euler_field,
                            log_derivations, poly_det,
-                           quasi_weights, saito_freeness_test, split_check)
+                           quasi_weights, saito_freeness_test)
 from logdiv.poly import Polynomial, divide_exact
-from logdiv.weyl import apply_op, commutator
+from logdiv.weyl import apply_op
 
-from oracles import span_membership
+from oracles import commutator, is_direct_sum, span_membership
 
 
 def P(s, n):
@@ -188,33 +187,6 @@ def test_freeness_inconclusive_for_nongraded():
     assert saito_freeness_test(dm).status == "inconclusive"
 
 
-# -- splitting -----------------------------------------------------------------
-
-def test_split_check_dn():
-    from logdiv.arrangements import generic_dn
-    for n in (3, 4):
-        arr = generic_dn(n)
-        dm = arr.full_module()
-        chi = arr.chi_operator().scale(Fraction(1, n + 1))
-        assert split_check(dm, chi, a_generators=arr.eta_list())
-
-
-def test_split_check_degenerate():
-    from logdiv.arrangements import generic_dn
-    arr = generic_dn(3)
-    dm = arr.full_module()
-    chi = arr.chi_operator()
-    assert not split_check(dm, chi, a_generators=[arr.chi])
-
-
-def test_split_check_rejects_non_logarithmic():
-    from logdiv.arrangements import generic_dn
-    arr = generic_dn(3)
-    dm = arr.full_module()
-    with pytest.raises(ValueError):
-        split_check(dm, parse_operator("dx", 3), a_generators=arr.eta_list())
-
-
 def test_first_syzygies_are_computed_on_first_read(monkeypatch):
     calls = []
     real = logder.syzygies
@@ -266,7 +238,7 @@ def _general_position_planes(seed, count):
 def test_split_complement_membership_matches_module_equality(f):
     """A brute-force search is the oracle: drop each minimal generator in
     turn, test by module equality whether chi and the others span
-    Der(log f) and by split_check whether the sum is direct.
+    Der(log f) and by ``is_direct_sum`` whether the sum is direct.
     ``_split_complement``, which reads the lift of chi and the syzygies of
     the minimal generators instead, returns the first complement found.
     Membership of the dropped generator agrees with module equality."""
@@ -282,7 +254,7 @@ def test_split_complement_membership_matches_module_equality(f):
         equal = gb_equal(span, full)
         assert in_submodule(gens[drop], span) == equal
         if (expected is None and equal and
-                split_check(dm, chi, a_generators=cand)):
+                is_direct_sum(chi_vec, cand)):
             expected = cand
     comp = _split_complement(dm, chi)
     assert (comp and comp.generators) == expected

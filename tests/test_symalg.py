@@ -5,8 +5,8 @@ from logdiv.groebner import (FreeModuleVector, buchberger, gb_equal,
                              ideal_gb, in_submodule)
 from logdiv.logder import ann_theta, log_derivations
 from logdiv.poly import Polynomial
-from logdiv.symalg import (alpha_image_nf, depth_via_resolution,
-                           grade_criterion, module_quotient_by_poly,
+from logdiv.symalg import (alpha_image_nf, grade_criterion,
+                           module_quotient_by_poly,
                            pi_injectivity_test, rees_kernel, sym_presentation,
                            symk_module, torsion_test_symk)
 
@@ -238,37 +238,3 @@ def test_alpha_image_contains_generator_products():
     e1 = WeylOperator.vector_field(dm.generators[0].components)
     e2 = WeylOperator.vector_field(dm.generators[1].components)
     assert alpha_image_nf(dm, compose(e1, e2), 2).is_zero()
-
-
-# -- depth ---------------------------------------------------------------------
-
-def test_depth_of_free_module():
-    assert depth_via_resolution(2, [], 3) == 3
-
-
-def test_depth_of_residue_field():
-    for n in (1, 2, 3):
-        rels = [FreeModuleVector((Polynomial.variable(n, i),))
-                for i in range(n)]
-        assert depth_via_resolution(1, rels, n) == 0
-
-
-def test_depth_sym2_a3_at_least_two(a3):
-    sp = sym_presentation(a3)
-    tmonos, rel_vecs, shifts = symk_module(sp, 2)
-    depth = depth_via_resolution(len(tmonos), rel_vecs, 3, shifts=shifts)
-    assert depth >= 2
-
-
-def test_depth_of_maximal_ideal_module():
-    # the ideal (x, y) in two or three variables has projective dimension 1
-    for n in (2, 3):
-        rel = FreeModuleVector((Polynomial.variable(n, 1),
-                                -Polynomial.variable(n, 0)))
-        assert depth_via_resolution(2, [rel], n, shifts=[1, 1]) == n - 1
-
-
-def test_depth_rejects_nongraded():
-    rels = [FreeModuleVector((P("x + x^2", 1),))]
-    with pytest.raises(ValueError):
-        depth_via_resolution(1, rels, 1)

@@ -13,9 +13,10 @@ from logdiv.vfilt import (NonHomogeneousError, VMembershipQuery, compare_v0,
                           default_weight_range, logder_generated_graded,
                           v0_graded_basis, v_member, v_membership,
                           vk_graded_basis)
-from logdiv.weyl import WeylOperator, affine_transform, apply_op, compose
+from logdiv.weyl import WeylOperator, apply_op, compose
 
-from oracles import brute_v0_dimension, divmod_single, rand_poly
+from oracles import (affine_map, affine_transform, brute_v0_dimension,
+                     divmod_single, rand_poly, subs)
 
 
 def P(s, n):
@@ -388,13 +389,7 @@ def test_linear_invariance_of_membership():
         if A[0][0] * A[1][1] - A[0][1] * A[1][0] == 0:
             continue
         a = [Fraction(0), Fraction(0)]
-        subs = []
-        for j in range(2):
-            p = Polynomial.constant(2, a[j])
-            for i in range(2):
-                p = p + Polynomial.variable(2, i) * A[j][i]
-            subs.append(p)
-        f2 = NC2.subs(subs)
+        f2 = subs(NC2, affine_map(A, a))
         for Pop in ops:
             Q = affine_transform(Pop, A, a)
             for k in levels:

@@ -7,10 +7,10 @@ import pytest
 
 from logdiv.grammar import parse_operator, parse_polynomial
 from logdiv.poly import Polynomial, divide_exact, monomials_of_degree
-from logdiv.weyl import (WeylOperator, affine_transform, apply_op,
-                         commutator, compose, symbol)
+from logdiv.weyl import WeylOperator, apply_op, compose, symbol
 
-from oracles import leibniz_compose, rand_op, rand_poly
+from oracles import (affine_map, affine_transform, commutator,
+                     leibniz_compose, rand_op, rand_poly, subs)
 
 
 def P(s, n):
@@ -187,15 +187,10 @@ def test_affine_transform_intertwines_application():
         a = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
         Pop = rand_op(rng, n, 2)
         Q = affine_transform(Pop, A, a)
-        subs = []
-        for j in range(n):
-            p = Polynomial.constant(n, a[j])
-            for i in range(n):
-                p = p + Polynomial.variable(n, i) * A[j][i]
-            subs.append(p)
+        phi = affine_map(A, a)
         for _ in range(5):
             g = rand_poly(rng, n, 3, zero_ok=True)
-            assert apply_op(Q, g.subs(subs)) == apply_op(Pop, g).subs(subs)
+            assert apply_op(Q, subs(g, phi)) == subs(apply_op(Pop, g), phi)
 
 
 def test_parsed_powers_square_repeatedly():
