@@ -35,17 +35,24 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 
+MAX_NVARS = 32
+"""Largest ring a command builds, inferred or given by ``-n``.  The cost
+grows about as the cube of the ring size: ``logder "x150"`` takes seconds,
+and ``"x100000"`` would never return."""
+
 
 # ---------------------------------------------------------------------------
 # input helpers
 # ---------------------------------------------------------------------------
 
 def _nvars_for(args, *texts):
-    if args.nvars is None:
-        return infer_nvars(*texts)
-    if args.nvars < 1:
+    n = infer_nvars(*texts) if args.nvars is None else args.nvars
+    if n < 1:
         raise ValueError("-n/--nvars must be at least 1")
-    return args.nvars
+    if n > MAX_NVARS:
+        raise ValueError(f"the ring would have {n} variables; at most "
+                         f"{MAX_NVARS} are supported")
+    return n
 
 
 # ---------------------------------------------------------------------------

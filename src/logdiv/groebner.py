@@ -24,6 +24,13 @@ as reductions proceed (packed exponents after Monagan and Pearce, 2007):
   lead a new lead divides leaves the basis.  The lcm tests are int ops on
   packed monomials.
 
+The colon (M : x_i) by a variable is read off the reduced basis of M under
+the x_i-last order (Bayer and Stillman, Invent. Math. 87, 1987): the
+quotients g/x_i of the elements whose lead x_i divides.  It is exact once
+each such element is itself divisible by x_i, one mask test per term,
+which graded M always passes.  Otherwise the colon by any g comes from one
+tagged syzygy run on (g*e_1, .., g*e_rank, M), ``module_quotient_by_poly``.
+
 Fractions appear only at the API boundary.  Reduced Groebner bases are
 unique for a fixed order, so all results are deterministic across runs.
 """
@@ -505,20 +512,31 @@ def _last_variable_order(weights, shifts, i):
     return TopOrder(LastVariableRevlex(weights, i), shifts)
 
 
-def nonzerodivisor_certified(gens, i, weights=None, shifts=None) -> bool:
-    """True if no lead of the reduced basis of <gens> under the x_i-last
-    order (``LastVariableRevlex`` with component shifts) involves x_i; then
-    x_i is a nonzerodivisor on O^rank/<gens>.  If x_i*r lay in the
-    submodule for a nonzero normal form r, some lead would divide
-    x_i*lead(r), hence lead(r).  For gens graded by the weights (all ones
-    if None) and shifts the converse holds too (Bayer-Stillman)."""
+def colon_by_variable(gens, i, weights=None, shifts=None):
+    """Generators of (<gens> : x_i) modulo <gens>, read off the reduced
+    basis G of <gens> under the x_i-last order (``LastVariableRevlex`` with
+    component shifts): the quotients g/x_i of the g in G whose lead x_i
+    divides.  The list is empty iff x_i is a nonzerodivisor on
+    O^rank/<gens>.  None if some such g is not itself divisible by x_i.
+
+    Once each such g is, the quotients and G form a Groebner basis of the
+    colon: for v in the colon a lead of G divides x_i*lead(v), so that lead
+    or that lead over x_i divides lead(v).  For gens graded by the weights
+    (all ones if None) and shifts, x_i | lead(g) implies x_i | g under the
+    x_i-last order (Bayer-Stillman), so only ungraded gens give None.  No
+    quotient lies in <gens>, since no lead of G divides another."""
     gens, rank, nvars = _prep(gens)
     weights = (1,) * nvars if weights is None else tuple(weights)
     shifts = None if shifts is None else tuple(shifts)
     gb = buchberger(gens, _last_variable_order(weights, shifts, i))
     eng, reducers, _ = gb._packed
-    field = eng.emax << (i * eng.slot)
-    return not any(r[1] & field for r in reducers)
+    field, step = eng.emax << (i * eng.slot), eng.vterm[i]
+    hit = [r for r in reducers if r[1] & field]
+    if not all(t & field for r in hit for t, _ in r[3]):
+        return None
+    # dividing a term by x_i subtracts x_i's packed term
+    return [eng.decode([(t - step, c) for t, c in [(r[0], r[2]), *r[3]]], r[2])
+            for r in hit]
 
 
 def vector_lead_term(v: FreeModuleVector):

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .groebner import (FreeModuleVector, GroebnerBasis, buchberger, codim,
-                       default_module_order, eliminate, gb_equal, gb_polys,
-                       graded_min_generators, ideal_gb, module_quotient_by_poly,
-                       nonzerodivisor_certified, normal_form,
-                       vector_lead_term)
+                       colon_by_variable, default_module_order, eliminate,
+                       gb_equal, gb_polys, graded_min_generators, ideal_gb,
+                       module_quotient_by_poly, normal_form, vector_lead_term)
 from .logder import DerivationModule
 from .poly import Polynomial, monomials_of_degree
 from .weyl import WeylOperator, symbol, xi_component_vector
@@ -161,10 +160,14 @@ class TorsionReport:
 
 def torsion_test_symk(sp: SymPresentation, k: int) -> TorsionReport:
     """Degreewise torsion of Sym^k: for every variable x_i, look for a
-    nonzero class killed by x_i.  Variables the leads of an x_i-last basis
-    prove to be nonzerodivisors are skipped; for the others the colon
-    (Rel : x_i) is computed.  Witnesses are canonical: the normal form of
-    the annihilated element, smallest lead first, scaled monic."""
+    nonzero class killed by x_i.  The colon (Rel : x_i) comes off the
+    reduced basis of Rel under the x_i-last order (Bayer-Stillman): the
+    quotients g/x_i of the elements whose lead x_i divides, none if x_i is
+    a nonzerodivisor.  This is exact once x_i divides each such element,
+    which graded Rel always passes; otherwise the tagged colon of
+    ``module_quotient_by_poly`` is the fallback.  Witnesses are canonical:
+    the normal form of the annihilated element, smallest lead first,
+    scaled monic."""
     n = sp.base_dim
     tmonos, rel_vecs, shifts = symk_module(sp, k)
     if not rel_vecs:
@@ -172,14 +175,16 @@ def torsion_test_symk(sp: SymPresentation, k: int) -> TorsionReport:
     relgb = None
     witnesses = []
     for i in range(n):
-        # the colon finds a witness only where x_i is a zero divisor
-        if nonzerodivisor_certified(rel_vecs, i, sp.weights, shifts):
+        colon = colon_by_variable(rel_vecs, i, sp.weights, shifts)
+        if colon is None:
+            colon = module_quotient_by_poly(
+                rel_vecs, Polynomial.variable(n, i), len(tmonos), n)
+        if not colon:
             continue
         if relgb is None:
             relgb = buchberger(rel_vecs)
-        xi = Polynomial.variable(n, i)
         best = None
-        for v in module_quotient_by_poly(rel_vecs, xi, len(tmonos), n):
+        for v in colon:
             nf = normal_form(v, relgb)
             if nf.is_zero():
                 continue

@@ -271,6 +271,28 @@ def test_nvars_below_one_is_a_usage_error(n):
 
 
 @pytest.mark.parametrize("argv", [
+    ["logder", "x33"],
+    ["logder", "x100000"],
+    ["logder", "-n", "33", "x"],
+    ["euler", "-n", "1000000000", "x"],
+    ["v0-member", "-f", "x", "-P", "dx40", "-k", "0"],
+    ["criterion", "x1*x2*x99"],
+])
+def test_ring_above_the_cap_is_a_usage_error(argv):
+    start = time.perf_counter()
+    code, out, err = invoke(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "at most 32" in err
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("argv", [["logder", "x32"],
+                                  ["logder", "-n", "32", "x1"]])
+def test_ring_at_the_cap_is_computed(argv):
+    assert invoke_json(argv)["input"]["nvars"] == 32
+
+
+@pytest.mark.parametrize("argv", [
     ["euler", "(" * 200 + "x" + ")" * 200],
     ["euler", "x*" + "-" * 3000 + "x"],
     ["v0-member", "-f", "x*y", "-P", "(" * 200 + "dx" + ")" * 200, "-k", "0"],

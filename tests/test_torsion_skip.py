@@ -1,7 +1,10 @@
-"""The nonzerodivisor skip of the degreewise torsion test, against the
-colon it saves: the skip fires for x_i iff (Rel : x_i) = Rel, it agrees
-with dense linear algebra in low degrees, and ``torsion_test_symk``
-reports what the colon for every variable reports, witness for witness."""
+"""The colon (Rel : x_i) read off the x_i-last basis, against the tagged
+colon of ``module_quotient_by_poly``: with Rel it generates the same
+module, it is empty (the nonzerodivisor skip) iff (Rel : x_i) = Rel, the
+skip agrees with dense linear algebra in low degrees, ungraded input whose
+basis fails the divisibility certificate falls back to the tagged colon,
+and ``torsion_test_symk`` reports what the tagged colon for every variable
+reports, witness for witness."""
 
 import dataclasses
 from functools import cache
@@ -9,15 +12,16 @@ from functools import cache
 import pytest
 
 from logdiv.arrangements import generic_dn
-from logdiv.criterion import _split_complement
+from logdiv.criterion import _split_complement, criterion_certificate
 from logdiv.grammar import parse_polynomial
-from logdiv.groebner import (buchberger, in_submodule, module_quotient_by_poly,
-                             nonzerodivisor_certified, normal_form,
-                             vector_lead_term)
+from logdiv import groebner, symalg
+from logdiv.groebner import (FreeModuleVector, buchberger, colon_by_variable,
+                             gb_equal, in_submodule, module_quotient_by_poly,
+                             normal_form, vector_lead_term)
 from logdiv.logder import ann_theta, euler_field, log_derivations
 from logdiv.poly import DEGREVLEX, LastVariableRevlex, Polynomial
-from logdiv.symalg import (TorsionReport, sym_presentation, symk_module,
-                           torsion_test_symk)
+from logdiv.symalg import (SymPresentation, TorsionReport, sym_presentation,
+                           symk_module, torsion_test_symk)
 
 from oracles import planes, torsion_class_exists_at_degree
 
@@ -45,19 +49,60 @@ for _seed in PLANE_SEEDS:
     MODULES[f"planes-{_seed}-split"] = lambda s=_seed: _split(planes(s))
 
 
+def _ideal(*texts):
+    """O/I as Sym^1 of a rank-one presentation: the relations are the
+    generators of I."""
+    gens = [FreeModuleVector.from_polynomial(parse_polynomial(t, 2))
+            for t in texts]
+    return SymPresentation(2, 1, gens)
+
+
+# non-homogeneous f, and hand-built ideals whose x_i-last basis holds an
+# element with lead divisible by x_i = y that y does not divide
+UNGRADED = {
+    "curve-logder": lambda: sym_presentation(log_derivations(
+        parse_polynomial("x^5+y^5+x^2*y^2", 2))),
+    "surface-ann": lambda: sym_presentation(ann_theta(
+        parse_polynomial("x^4+y^5+x^2*y^3+z^2", 3))),
+    # y is a nonzerodivisor: the fallback finds no witness
+    "ideal-xy+x": lambda: _ideal("x*y + x"),
+    # y kills x^2 + y mod I: the fallback finds it
+    "ideal-x-x2y": lambda: _ideal("x - x^2*y", "x + y^2"),
+}
+
+
 @cache
 def presentation(name):
     if name.endswith("-ungraded"):
         base = presentation(name.removesuffix("-ungraded"))
         return dataclasses.replace(base, gen_degrees=None, weights=None)
+    if name in UNGRADED:
+        return UNGRADED[name]()
     return sym_presentation(MODULES[name]())
 
 
-def _colon_is_rel(rel_vecs, i, rank, nvars):
+def degrees(name):
+    """The Sym^k degrees tested: Sym^1 of the hand-built ideals."""
+    return (1,) if name.startswith("ideal-") else (2, 3)
+
+
+@cache
+def tagged_colon(name, k, i):
+    sp = presentation(name)
+    tmonos, rel_vecs, _ = symk_module(sp, k)
+    return module_quotient_by_poly(rel_vecs,
+                                   Polynomial.variable(sp.base_dim, i),
+                                   len(tmonos), sp.base_dim)
+
+
+def _colon_is_rel(name, k, i):
+    _, rel_vecs, _ = symk_module(presentation(name), k)
     relgb = buchberger(rel_vecs)
-    colon = module_quotient_by_poly(rel_vecs, Polynomial.variable(nvars, i),
-                                    rank, nvars)
-    return all(in_submodule(v, relgb) for v in colon)
+    return all(in_submodule(v, relgb) for v in tagged_colon(name, k, i))
+
+
+def _certified(sp, rel_vecs, shifts, i):
+    return colon_by_variable(rel_vecs, i, sp.weights, shifts) == []
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -66,8 +111,77 @@ def test_skip_fires_iff_the_colon_is_rel(name, k):
     sp = presentation(name)
     tmonos, rel_vecs, shifts = symk_module(sp, k)
     for i in range(sp.base_dim):
-        assert (nonzerodivisor_certified(rel_vecs, i, sp.weights, shifts) ==
-                _colon_is_rel(rel_vecs, i, len(tmonos), sp.base_dim)), i
+        assert (_certified(sp, rel_vecs, shifts, i) ==
+                _colon_is_rel(name, k, i)), i
+
+
+CASES = [(name, k) for name in [*MODULES, *UNGRADED] for k in degrees(name)]
+
+
+@pytest.mark.parametrize("name,k", CASES)
+def test_the_colon_equals_the_tagged_colon(name, k):
+    sp = presentation(name)
+    _, rel_vecs, shifts = symk_module(sp, k)
+    fallbacks = 0
+    for i in range(sp.base_dim):
+        colon = colon_by_variable(rel_vecs, i, sp.weights, shifts)
+        if colon is None:
+            fallbacks += 1
+            continue
+        # with Rel, as modules; an empty colon is the skip
+        assert gb_equal(buchberger(rel_vecs + colon),
+                        buchberger(tagged_colon(name, k, i))), i
+        assert (colon == []) == _colon_is_rel(name, k, i), i
+    assert (fallbacks > 0) == (name in UNGRADED)
+
+
+@pytest.mark.parametrize("name", ["ideal-xy+x", "ideal-x-x2y"])
+def test_the_fallback_runs_where_y_divides_a_lead_but_not_its_element(name):
+    sp = presentation(name)
+    _, rel_vecs, _ = symk_module(sp, 1)
+    assert colon_by_variable(rel_vecs, 1) is None
+    report = torsion_test_symk(sp, 1)
+    assert (1 in dict(report.witnesses)) == (name == "ideal-x-x2y")
+
+
+@pytest.fixture
+def tagged_calls(monkeypatch):
+    """Calls of the tagged colon: from ``groebner`` (the ideal quotient)
+    and through ``symalg`` (the torsion fallback)."""
+    calls = []
+    real = groebner.module_quotient_by_poly
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "module_quotient_by_poly", spy)
+    monkeypatch.setattr(symalg, "module_quotient_by_poly", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["d4", "d5-split", "quadric", "curve-logder",
+                                  "surface-ann"])
+def test_tagged_colon_only_where_the_certificate_fails(tagged_calls, name):
+    sp = (sym_presentation(_split(generic_dn(5).f)) if name == "d5-split"
+          else presentation(name))
+    for k in (2, 3):
+        del tagged_calls[:]
+        first = torsion_test_symk(sp, k)
+        work = len(tagged_calls)
+        assert (work > 0) == (name in UNGRADED), k
+        del tagged_calls[:]
+        assert torsion_test_symk(sp, k) == first
+        assert len(tagged_calls) == work
+
+
+def test_the_d5_split_route_takes_no_tagged_colon(tagged_calls):
+    # five at the parent: one per variable, each with a witness
+    f = generic_dn(5).f
+    first = criterion_certificate(f, 0, route="split")
+    assert not tagged_calls
+    assert criterion_certificate(f, 0, route="split") == first
+    assert not tagged_calls
 
 
 def test_the_inputs_cover_both_outcomes_and_non_unit_weights():
@@ -75,7 +189,7 @@ def test_the_inputs_cover_both_outcomes_and_non_unit_weights():
     for name in ("quadric-c5", "d3"):
         sp = presentation(name)
         _, rel_vecs, shifts = symk_module(sp, 2)
-        skips.update(nonzerodivisor_certified(rel_vecs, i, sp.weights, shifts)
+        skips.update(_certified(sp, rel_vecs, shifts, i)
                      for i in range(sp.base_dim))
     assert skips == {True, False}
     assert presentation("weighted").weights == (6, 10, 15)
@@ -91,8 +205,7 @@ def test_skip_agrees_with_linear_algebra_in_low_degrees(name):
     for i in range(sp.base_dim):
         torsion = any(torsion_class_exists_at_degree(
             rel_vecs, len(tmonos), sp.base_dim, i, d) for d in (0, 1))
-        assert nonzerodivisor_certified(rel_vecs, i, sp.weights,
-                                        shifts) == (not torsion), i
+        assert _certified(sp, rel_vecs, shifts, i) == (not torsion), i
 
 
 def colon_for_every_variable(sp, k):
@@ -120,10 +233,17 @@ def colon_for_every_variable(sp, k):
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("name", [*MODULES, "quadric-ungraded",
-                                  "quadric-c5-ungraded"])
+                                  "quadric-c5-ungraded", "curve-logder",
+                                  "surface-ann"])
 def test_report_equals_the_colon_for_every_variable(name, k):
     sp = presentation(name)
     assert torsion_test_symk(sp, k) == colon_for_every_variable(sp, k)
+
+
+@pytest.mark.parametrize("name", ["ideal-xy+x", "ideal-x-x2y"])
+def test_report_equals_the_colon_on_hand_built_ideals(name):
+    sp = presentation(name)
+    assert torsion_test_symk(sp, 1) == colon_for_every_variable(sp, 1)
 
 
 def test_last_variable_revlex():
