@@ -14,7 +14,7 @@ from . import logder as logder_mod
 from . import symalg as symalg_mod
 from . import vfilt as vfilt_mod
 from .grammar import parse_polynomial
-from .groebner import FreeModuleVector, buchberger, gb_equal, lift_and_syzygies
+from .groebner import FreeModuleVector, buchberger, gb_equal
 from .poly import Polynomial, format_polynomial
 from .weyl import format_operator
 
@@ -39,15 +39,15 @@ def _split_complement(dm, chi):
         mini = dm.minimalized()
     except ValueError:
         return None
-    gens = mini.generators
-    if len(gens) < 2:
+    m = len(mini.generators)
+    if m < 2:
         return None
     # chi(f) = f, so chi lies in Der(log f) and the lift exists
-    lift, syz = lift_and_syzygies(FreeModuleVector(chi.first_order_part()),
-                                  gens)
+    lift = mini.lift(FreeModuleVector(chi.first_order_part()))
     for drop, c in enumerate(lift):
-        if c.constant_term() and all(s.components[drop].is_zero() for s in syz):
-            return mini.subset([i for i in range(len(gens)) if i != drop])
+        if c.constant_term() and all(s.components[drop].is_zero()
+                                     for s in mini.first_syzygies):
+            return mini.subset([i for i in range(m) if i != drop])
     return None
 
 
@@ -79,7 +79,11 @@ def _route_report(name, dm, dimZ, symk_bound):
 def criterion_certificate(f, dimZ, symk_bound=2, route="both"):
     """Hypothesis checklist and verdict for the vector-field generation
     criterion: freeness shortcut, Euler field, splitting, rank-one
-    resolution, grade bound, and degreewise torsion evidence."""
+    resolution, grade bound, and degreewise torsion evidence.
+
+    Der(log f) is built once: with an Euler field chi and the ann route
+    (both or ann) it is Ann(f) + O*chi, ``log_derivations_from_ann``;
+    without chi or on route split alone, ``log_derivations(f)``."""
     if dimZ < 0:
         raise ValueError(f"dimZ must be at least 0, got {dimZ}")
     if symk_bound < 1:
@@ -87,7 +91,12 @@ def criterion_certificate(f, dimZ, symk_bound=2, route="both"):
     if route not in ("both", "ann", "split"):
         raise ValueError(f"route must be both, ann or split, got {route!r}")
     chi = logder_mod.euler_field(f)
-    dm = logder_mod.log_derivations(f)
+    ann = None
+    if chi is not None and route in ("both", "ann"):
+        ann = logder_mod.ann_theta(f)
+        dm = logder_mod.log_derivations_from_ann(ann, chi)
+    else:
+        dm = logder_mod.log_derivations(f)
     freeness = logder_mod.saito_freeness_test(dm)
     cert = {
         "input": {"f": format_polynomial(f), "dimZ": dimZ,
@@ -105,8 +114,7 @@ def criterion_certificate(f, dimZ, symk_bound=2, route="both"):
     routes = []
     if chi is not None:
         if route in ("both", "ann"):
-            routes.append(_route_report("ann", logder_mod.ann_theta(f), dimZ,
-                                        symk_bound))
+            routes.append(_route_report("ann", ann, dimZ, symk_bound))
         if route in ("both", "split"):
             comp = _split_complement(dm, chi)
             cert["hypotheses"]["split"] = comp is not None

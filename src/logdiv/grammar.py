@@ -9,11 +9,18 @@ derivative appears: a coefficient such as ``(x*y + 1)*dx`` is multiplied
 out as a polynomial, and the Leibniz rule runs only where a derivative
 stands left of a nonconstant coefficient (``dx*x``).  The parser
 round-trips the printers in ``poly`` and ``weyl``.
+
+A power ``p^k`` is refused with a ``ParseError`` when its estimated cost,
+taken from p's terms before anything is expanded, exceeds
+``MAX_POWER_BITS`` or ``MAX_POWER_WORK`` (``_power_refusal``).  A power of a
+single commuting term with coefficient 1, such as ``x^1000000`` or
+``dx^1000000000``, is one step and always parses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, lcm, log2, prod
 
 from .poly import Polynomial
 from .weyl import WeylOperator, compose
@@ -27,6 +34,15 @@ class ParseError(ValueError):
 
 
 _OPS = set("+-*^/()")
+
+MAX_POWER_BITS = 1 << 20
+"""Largest estimated bit length of a coefficient of a power."""
+
+MAX_POWER_WORK = 1 << 18
+"""Largest estimated work of a power: the coefficient products of its
+last multiplication, weighted by coefficient length and, in the Weyl
+algebra, by the Leibniz terms of a product (``_power_refusal``).  At the
+limit a power takes about a second."""
 
 
 def _tokenize(text):
@@ -131,6 +147,55 @@ def _mul(a, b):
     return compose(a, b)
 
 
+def _power_refusal(base, k):
+    """Why base^k is refused, or None: estimates taken from base's t terms
+    without expanding the power.
+
+    Write base = q/L with q integral, L the lcm of the denominators and
+    N = |q|_1.  A coefficient of a commuting power has at most
+    k*log2(N*L) bits.  In the Weyl algebra, x_i and d_i can contract in
+    up to m_i = min(deg_x_i, deg_d_i) pairs per factor; c = k*sum(m_i)
+    contractions add about c*log2(c) bits.  base^j has at most
+    prod(j*deg + 1) terms, one slot per x_i- and d_i-exponent, and about
+    C(j + t - 1, t - 1) choices of factors times prod(1 + j*m_i/t)
+    contractions (a term of base^j has about j/t factors of each term of
+    base).  The work is the coefficient products of the last
+    multiplication, base^(k//2) * base^(k - k//2), weighted by
+    1 + bits/256 for long coefficients and by the Leibniz terms of a Weyl
+    product, about 1 + c/(2t) each."""
+    # past 2^64 only powers of a term +-x^a*d^b without contractions pass,
+    # as at 2^64
+    k = min(k, 1 << 64)
+    if isinstance(base, Polynomial):
+        terms = list(base.terms.items())
+    else:
+        terms = [(m + b, c) for b, p in base.terms.items()
+                 for m, c in p.terms.items()]
+    t, n = len(terms), base.nvars
+    degs = [max(col) for col in zip(*(m for m, _ in terms))]
+    mins = [min(a, b) for a, b in zip(degs[:n], degs[n:])]
+    den = lcm(*(c.denominator for _, c in terms))
+    norm = sum(abs(c.numerator) * (den // c.denominator) for _, c in terms)
+    c = k * sum(mins)
+    bits = ((k * log2(norm * den) if norm * den > 1 else 0) +
+            (c * log2(c) if c > 1 else 0))
+    if bits > MAX_POWER_BITS:
+        return (f"power too large: about {bits:.3g} bits per coefficient, "
+                f"the limit is {MAX_POWER_BITS}")
+
+    def count(j):
+        grid = prod(j * d + 1 for d in degs)
+        return min(grid, comb(j + t - 1, t - 1) *
+                   prod(1 + j * m / t for m in mins))
+
+    work = (count(k // 2) * count(k - k // 2) * (1 + bits / 256) *
+            (1 + c / (2 * t)))
+    if work > MAX_POWER_WORK:
+        return (f"power too large: estimated work {work:.3g}, the limit is "
+                f"{MAX_POWER_WORK}")
+    return None
+
+
 class _Parser:
     def __init__(self, text, nvars, operator_mode):
         self.tokens = _tokenize(text)
@@ -190,13 +255,20 @@ class _Parser:
         return self.power()
 
     def power(self):
+        # a power of a variable or derivative is one step, unchecked
+        named = self.peek()[0] == "NAME"
         base = self.atom()
         if self.peek()[0] == "^":
             self.next()
             tok = self.next()
             if tok[0] != "INT":
                 self.error("exponent must be a nonnegative integer", tok)
-            return base ** int(tok[1])
+            k = int(tok[1])
+            refusal = (not named and k > 1 and not base.is_zero() and
+                       _power_refusal(base, k))
+            if refusal:
+                self.error(refusal, tok)
+            return base ** k
         return base
 
     def atom(self):

@@ -599,10 +599,16 @@ def is_groebner_basis(gens, order: ModuleOrder | None = None) -> bool:
 _syz_order = lru_cache(maxsize=64)(SyzElimOrder)
 
 
-def _tagged(gens, rank, nvars):
+def tagged_basis(gens) -> GroebnerBasis:
     """Reduced basis of the generators g_i tagged as g_i + e_(rank+i), under
-    the order that puts the components below ``rank`` first: its elements
-    supported purely on the tags are a basis of the syzygy module."""
+    the order that puts the components below ``rank`` first (its
+    ``order.split``).  Its elements supported purely on the tags are a
+    basis of the syzygy module (``tagged_syzygies``), and the normal form
+    of v padded with zero tags holds v's lift (``tagged_lift``).  On the
+    tags the order is ``TopOrder(DEGREVLEX)`` with the components shifted
+    by ``rank``, so the syzygy basis is the reduced one under the default
+    order."""
+    gens, rank, nvars = _prep(gens)
 
     def encode(eng):
         vecs = []
@@ -615,9 +621,11 @@ def _tagged(gens, rank, nvars):
     return _basis(_syz_order(rank), nvars, rank + len(gens), encode)
 
 
-def _tag_syzygies(tagged, rank):
+def tagged_syzygies(tagged):
+    """Generators of the first syzygy module, read off a ``tagged_basis``."""
     # an element lives on the tags alone iff its lead does; only those are
     # decoded
+    rank = tagged.order.split
     eng, reducers, _ = tagged._packed
     return [FreeModuleVector(eng.decode([(r[0], r[2]), *r[3]], r[2])
                              .components[rank:])
@@ -626,8 +634,7 @@ def _tag_syzygies(tagged, rank):
 
 def syzygies(gens):
     """Generators of the first syzygy module {(a_1..a_m) : sum a_i g_i = 0}."""
-    gens, rank, nvars = _prep(gens)
-    return _tag_syzygies(_tagged(gens, rank, nvars), rank)
+    return tagged_syzygies(tagged_basis(gens))
 
 
 def module_quotient_by_poly(rel_vecs, g: Polynomial, rank: int, nvars: int):
@@ -649,7 +656,12 @@ def module_quotient_by_poly(rel_vecs, g: Polynomial, rank: int, nvars: int):
     return out
 
 
-def _tag_lift(v, tagged, rank):
+def tagged_lift(v: FreeModuleVector, tagged):
+    """Coefficients (q_1..q_m) with v = sum q_i g_i, read off the
+    ``tagged_basis`` of the g_i, or None if v is not in their span."""
+    rank = tagged.order.split
+    if v.rank != rank:
+        raise ValueError("rank mismatch")
     m = tagged.rank - rank
     padded = FreeModuleVector(list(v.components) +
                               [Polynomial.zero(tagged.nvars)] * m)
@@ -659,23 +671,10 @@ def _tag_lift(v, tagged, rank):
     return [-nf.components[rank + i] for i in range(m)]
 
 
-def lift_and_syzygies(v: FreeModuleVector, gens):
-    """``module_lift(v, gens)`` and ``syzygies(gens)``, read off one tagged
-    basis."""
-    gens, rank, nvars = _prep(gens)
-    if v.rank != rank:
-        raise ValueError("rank mismatch")
-    tagged = _tagged(gens, rank, nvars)
-    return _tag_lift(v, tagged, rank), _tag_syzygies(tagged, rank)
-
-
 def module_lift(v: FreeModuleVector, gens):
     """Coefficients (q_1..q_m) with v = sum q_i g_i, or None if v is not in
     the submodule."""
-    gens, rank, nvars = _prep(gens)
-    if v.rank != rank:
-        raise ValueError("rank mismatch")
-    return _tag_lift(v, _tagged(gens, rank, nvars), rank)
+    return tagged_lift(v, tagged_basis(gens))
 
 
 def ideal_lift(g: Polynomial, polys):
@@ -810,20 +809,31 @@ def graded_min_generators(vectors, weights=None, shifts=None):
 
 def graded_min_indices(vectors, degrees):
     """Positions in ``vectors`` of the subset ``graded_min_generators``
-    keeps, given the degree of each vector, with the kept degrees.
-
-    In the order (degree, lead, index) v_j is dropped iff it lies in
-    <v_1..v_(j-1)>, iff some syzygy has its last constant entry at j (an
-    entry between vectors of different degree has positive degree): the
-    pivots of the reversed-column rref of the syzygies' constant terms."""
-    ranked = [i for _, _, i in sorted(
-        (d, vector_lead_term(v)[1], i)
-        for i, (v, d) in enumerate(zip(vectors, degrees)) if not v.is_zero())]
+    keeps, given the degree of each vector, with the kept degrees."""
+    ranked = graded_ranking(vectors, degrees)
     if not ranked:
         return [], []
-    m = len(ranked)
-    consts = [[s.components[j].constant_term() for j in reversed(range(m))]
-              for s in syzygies([vectors[i] for i in ranked])]
-    dropped = {m - 1 - p for p in rref(consts, m)[1]}
-    kept = [i for j, i in enumerate(ranked) if j not in dropped]
+    redundant = graded_redundant(syzygies([vectors[i] for i in ranked]),
+                                 len(ranked))
+    kept = [i for j, i in enumerate(ranked) if j not in redundant]
     return kept, [degrees[i] for i in kept]
+
+
+def graded_ranking(vectors, degrees):
+    """Positions of the nonzero vectors in the order (degree, lead, index),
+    the order in which ``graded_redundant`` reads their syzygies."""
+    return [i for _, _, i in sorted(
+        (d, vector_lead_term(v)[1], i)
+        for i, (v, d) in enumerate(zip(vectors, degrees)) if not v.is_zero())]
+
+
+def graded_redundant(syz, m):
+    """Positions j of the m ranked vectors v_j that lie in <v_1..v_(j-1)>,
+    given generators ``syz`` of their syzygies.
+
+    v_j lies there iff some syzygy has its last constant entry at j (an
+    entry between vectors of different degree has positive degree): the
+    pivots of the reversed-column rref of the syzygies' constant terms."""
+    consts = [[s.components[j].constant_term() for j in reversed(range(m))]
+              for s in syz]
+    return {m - 1 - p for p in rref(consts, m)[1]}

@@ -1,6 +1,15 @@
 """Logarithmic vector fields along a divisor: the module Der(log D), the
 annihilator of the defining equation, Euler fields and Saito's freeness
-criterion."""
+criterion.
+
+Der(log f) has two constructors.  ``log_derivations`` runs the syzygies of
+(d_1 f, .., d_n f, -f).  For an Euler field chi (chi(f) = f),
+Der(log f) = Ann(f) + O*chi (K. Saito, 1980): a syzygy (a, c) is
+(a - c*chi, 0) + c*(chi, 1) with a - c*chi in Ann(f).  So
+``log_derivations_from_ann`` takes the reduced basis of Ann(f) x 0 and
+(chi, 1), the same generators, cofactors and order; the criterion
+pipeline uses it whenever it builds Ann(f) anyway.
+"""
 
 from __future__ import annotations
 
@@ -10,8 +19,9 @@ from functools import cached_property
 from math import gcd, lcm
 
 from . import linalg
-from .groebner import (FreeModuleVector, graded_min_indices, ideal_lift,
-                       syzygies, vector_degree)
+from .groebner import (FreeModuleVector, buchberger, graded_ranking,
+                       graded_redundant, ideal_lift, syzygies, tagged_basis,
+                       tagged_lift, tagged_syzygies, vector_degree)
 from .poly import Polynomial, divide_exact
 from .weyl import WeylOperator, apply_op
 
@@ -66,8 +76,9 @@ class DerivationModule:
 
     Each generator is the coefficient vector (a_1..a_n) of a field
     sum a_i d_i; the stored cofactor c satisfies sum a_i d_i(f) = c*f.
-    What is derived from the generators (first syzygies, grading, minimal
-    generating subset) is computed on first use and kept.
+    What is derived from the generators (their tagged basis, which gives
+    the first syzygies and lifts, the grading and the minimal generating
+    subset) is computed on first use and kept.
     """
 
     divisor: Polynomial
@@ -75,15 +86,28 @@ class DerivationModule:
     cofactors: list
     _minimal: DerivationModule | None = field(default=None, repr=False,
                                               compare=False)
+    # set on a minimalized() result, which is its own: a flag, not a
+    # reference to itself, keeps the module out of reference cycles
+    _is_minimal: bool = field(default=False, repr=False, compare=False)
 
     @property
     def nvars(self):
         return self.divisor.nvars
 
     @cached_property
+    def tagged(self):
+        """The generators' ``groebner.tagged_basis``."""
+        return tagged_basis(self.generators)
+
+    @cached_property
     def first_syzygies(self) -> list:
         """Generators of the relations among the generators."""
-        return syzygies(self.generators) if self.generators else []
+        return tagged_syzygies(self.tagged) if self.generators else []
+
+    def lift(self, v: FreeModuleVector):
+        """Coefficients (q_i) with v = sum q_i g_i, or None if v is not in
+        the module."""
+        return tagged_lift(v, self.tagged)
 
     @cached_property
     def grading(self):
@@ -106,13 +130,21 @@ class DerivationModule:
 
     def minimalized(self) -> "DerivationModule":
         """Graded minimal generating subset, in increasing degree (graded
-        data only)."""
+        data only), read off the ranked generators' syzygies; when none is
+        redundant, the ranked module itself with its tagged basis."""
+        if self._is_minimal:
+            return self
         if self._minimal is None:
             _, degrees = self.grading
             if degrees is None:
                 raise ValueError("minimalization needs (quasi-)homogeneous data")
-            kept, _ = graded_min_indices(self.generators, degrees)
-            self._minimal = self.subset(kept)
+            ranked = self.subset(graded_ranking(self.generators, degrees))
+            m = len(ranked.generators)
+            redundant = graded_redundant(ranked.first_syzygies, m)
+            mini = (ranked.subset([j for j in range(m) if j not in redundant])
+                    if redundant else ranked)
+            mini._is_minimal = True
+            self._minimal = mini
         return self._minimal
 
     def subset(self, indices) -> "DerivationModule":
@@ -134,19 +166,35 @@ def _cofactor(v: FreeModuleVector, f: Polynomial) -> Polynomial:
     return c
 
 
+def _from_syzygies(f: Polynomial, syz) -> DerivationModule:
+    """The fields and cofactors of syzygies (a_1..a_n, c) of
+    (d_1 f, .., d_n f, -f)."""
+    n = f.nvars
+    return DerivationModule(f, [FreeModuleVector(s.components[:n])
+                                for s in syz],
+                            [s.components[n] for s in syz])
+
+
 def log_derivations(f: Polynomial) -> DerivationModule:
     """Der(log f) = {theta : theta(f) in <f>} with cofactors, computed as
     the syzygy module of (d_1 f, .., d_n f, -f) projected to the first n
     coordinates."""
     if f.is_zero() or f.is_constant():
         raise InvalidDivisor("divisor must be defined by a nonconstant polynomial")
-    n = f.nvars
     inputs = [FreeModuleVector.from_polynomial(g) for g in gradient(f)]
     inputs.append(FreeModuleVector.from_polynomial(-f))
-    syz = syzygies(inputs)
-    generators = [FreeModuleVector(s.components[:n]) for s in syz]
-    cofactors = [s.components[n] for s in syz]
-    return DerivationModule(f, generators, cofactors)
+    return _from_syzygies(f, syzygies(inputs))
+
+
+def log_derivations_from_ann(ann: DerivationModule, chi) -> DerivationModule:
+    """``log_derivations(ann.divisor)`` from Ann(f) and an Euler field chi:
+    the reduced basis of Ann(f) x 0 and (chi, 1), which generate the same
+    syzygies under the same order (``groebner.tagged_basis``)."""
+    f = ann.divisor
+    zero, one = Polynomial.zero(f.nvars), Polynomial.one(f.nvars)
+    gens = [FreeModuleVector([*a.components, zero]) for a in ann.generators]
+    gens.append(FreeModuleVector([*chi.first_order_part(), one]))
+    return _from_syzygies(f, buchberger(gens).generators)
 
 
 def ann_theta(f: Polynomial) -> DerivationModule:

@@ -195,17 +195,40 @@ def test_symalg_quadric_json_is_pinned():
             "538a7b150725448615d2dece3190e36aad06267341f7530b5a06f57dd859d9b1")
 
 
-def test_criterion_computes_log_derivations_once(monkeypatch):
-    calls = []
-    real = logder.log_derivations
+@pytest.fixture
+def der_calls(monkeypatch):
+    """Counts the calls of each Der(log f) constructor from here on."""
+    calls = {"syzygies": 0, "ann": 0}
+    real = logder.log_derivations, logder.log_derivations_from_ann
 
     def counting(f):
-        calls.append(f)
-        return real(f)
+        calls["syzygies"] += 1
+        return real[0](f)
+
+    def counting_from_ann(ann, chi):
+        calls["ann"] += 1
+        return real[1](ann, chi)
 
     monkeypatch.setattr(logder, "log_derivations", counting)
+    monkeypatch.setattr(logder, "log_derivations_from_ann", counting_from_ann)
+    return calls
+
+
+def test_criterion_computes_log_derivations_once(der_calls):
+    """Once per call, and on route both from the Ann(f) of the ann route."""
     for n in (3, 4):
-        calls.clear()
+        der_calls.update(syzygies=0, ann=0)
         cert = criterion.criterion_certificate(generic_dn(n).f, 0, route="both")
         assert len(cert["routes"]) == 2
-        assert len(calls) == 1
+        assert der_calls == {"syzygies": 0, "ann": 1}
+
+
+@pytest.mark.parametrize("f, route, from_ann", [
+    (generic_dn(4).f, "ann", True), (generic_dn(4).f, "split", False),
+    (P("x^5+y^5+x^2*y^2", 2), "both", False)],
+    ids=["d4-ann", "d4-split", "no-euler"])
+def test_der_from_ann_needs_an_euler_field_and_the_ann_route(der_calls, f,
+                                                            route, from_ann):
+    criterion.criterion_certificate(f, 0, route=route)
+    assert der_calls == ({"syzygies": 0, "ann": 1} if from_ann else
+                         {"syzygies": 1, "ann": 0})

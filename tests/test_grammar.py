@@ -2,6 +2,7 @@
 and the work it does on normally ordered text."""
 
 import random
+import time
 
 import pytest
 
@@ -196,3 +197,55 @@ def test_non_ascii_digits_are_cli_parse_errors():
         assert code == 2 and out == "", text
         assert err.startswith("parse error:"), err
         assert f"(line {line}, column {col})" in err
+
+
+# each estimate is far past a limit: bits per coefficient for the constant
+# powers, work for the sums and the Weyl power
+OVERSIZED_POWERS = [
+    ("3^4000000", 1, "bits"), ("3^1000000000", 1, "bits"),
+    ("(3*dx)^1000000000", 1, "bits"), ("(x + 1)^800", 1, "work"),
+    ("((x + 1)^200)^4", 1, "work"), ("(x + y + z + 1)^1000", 3, "work"),
+    ("(x*dx)^1000", 1, "work"), ("1 +\n (dx + x)^1000", 1, "work"),
+    ("(x + 1)^" + "9" * 400, 1, "bits"), ("(x*dx)^" + "9" * 400, 1, "bits"),
+]
+
+
+@pytest.mark.parametrize("text, n, limit", OVERSIZED_POWERS)
+def test_oversized_powers_are_refused_at_once(text, n, limit):
+    for parse in (parse_operator, parse_polynomial):
+        if parse is parse_polynomial and "d" in text:
+            continue
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="power too large") as err:
+            parse(text, n)
+        assert time.perf_counter() - start < 1
+        assert (f"bits per coefficient, the limit is {grammar.MAX_POWER_BITS}"
+                if limit == "bits" else
+                f"the limit is {grammar.MAX_POWER_WORK}") in str(err.value)
+    argv = (["v0-member", "-f", "x", "-P", text, "-k", "0"] if "d" in text
+            else ["euler", text])
+    start = time.perf_counter()
+    code, out, err = invoke(argv + ["-n", str(n)])
+    assert code == 2 and out == "" and "power too large" in err
+    assert time.perf_counter() - start < 1
+
+
+def test_oversized_power_names_the_exponent():
+    with pytest.raises(ParseError) as err:
+        parse_operator("1 +\n (dx + x)^1000", 1)
+    assert (err.value.line, err.value.col) == (2, 11)
+
+
+@pytest.mark.parametrize("text, n", [
+    ("x^1000000", 1), ("x*y^1000000", 2), ("-x^" + "9" * 400, 1),
+    ("3^1000", 1), ("(x + 1)^100", 1),
+    ("(x + y + z + 1)^12", 3), ("(x*dx)^20", 1), ("(x*dy + dx - y)^6", 2)])
+def test_powers_within_the_limits_parse(text, n):
+    start = time.perf_counter()
+    op = parse_operator(text, n)
+    assert time.perf_counter() - start < 1
+    if "d" not in text:
+        assert parse_polynomial(text, n) == op.terms[(0,) * n]
+    base, k = text.rsplit("^", 1)
+    if int(k) <= 100:
+        assert op == oracle(True)(f"{base}^{k}", n)

@@ -3,12 +3,12 @@ from itertools import combinations
 
 import pytest
 
-from logdiv import logder
+from logdiv import groebner
 from logdiv.arrangements import generic_dn
 from logdiv.criterion import _split_complement
 from logdiv.grammar import parse_operator, parse_polynomial
 from logdiv.groebner import (FreeModuleVector, buchberger, gb_equal,
-                             in_submodule, normal_form)
+                             in_submodule, normal_form, syzygies)
 from logdiv.logder import (InvalidDivisor, ann_theta, euler_field,
                            log_derivations, poly_det,
                            quasi_weights, saito_freeness_test)
@@ -189,21 +189,23 @@ def test_freeness_inconclusive_for_nongraded():
 
 def test_first_syzygies_are_computed_on_first_read(monkeypatch):
     calls = []
-    real = logder.syzygies
+    real = groebner._basis
 
-    def counting(gens):
-        calls.append(len(gens))
-        return real(gens)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(logder, "syzygies", counting)
+    monkeypatch.setattr(groebner, "_basis", counting)
     dm = log_derivations(P("x*y*z*(x+y+z)", 3))
     assert saito_freeness_test(dm).status == "not free at 0"
-    assert len(calls) == 1            # Der(log f) itself, no relations yet
+    # Der(log f) itself and the minimal generators' tagged basis; none
+    # for the generators' own relations yet
+    assert len(calls) == 2
     first = dm.first_syzygies
-    assert len(calls) == 2
+    assert len(calls) == 3
     assert dm.first_syzygies is first
-    assert len(calls) == 2
-    assert first == real(dm.generators)
+    assert len(calls) == 3
+    assert first == syzygies(dm.generators)
 
 
 def _cross(a, b):

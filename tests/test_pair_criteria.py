@@ -55,7 +55,7 @@ def _check_tagged(gens):
                              [Polynomial.constant(nvars, int(k == i))
                               for k in range(m)])
             for i, g in enumerate(gens)]
-    got = groebner._tagged(gens, rank, nvars).generators
+    got = groebner.tagged_basis(gens).generators
     assert got == textbook_buchberger(tags, SyzElimOrder(rank))
     assert is_groebner_basis(got, SyzElimOrder(rank))
 
