@@ -54,11 +54,6 @@ class DnArrangement(Arrangement):
         cofs = [_cofactor(v, self.f) for v in gens]
         return DerivationModule(self.f, gens, cofs)
 
-    def full_module(self) -> DerivationModule:
-        gens = [self.chi] + self.eta_list()
-        cofs = [_cofactor(v, self.f) for v in gens]
-        return DerivationModule(self.f, gens, cofs)
-
 
 MAX_N = 6
 

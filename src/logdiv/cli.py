@@ -24,9 +24,10 @@ from . import symalg as symalg_mod
 from . import vfilt as vfilt_mod
 from .criterion import criterion_certificate, format_vector, run_golden_cases
 from .grammar import ParseError, infer_nvars, parse_operator, parse_polynomial
+from .groebner import gb_polys
 from .logder import InvalidDivisor
-from .poly import format_polynomial
-from .vfilt import NonHomogeneousError, VMembershipQuery
+from .poly import format_int, format_polynomial
+from .vfilt import NonHomogeneousError
 from .weyl import format_operator
 
 SCHEMA = "logdiv/1"
@@ -50,8 +51,8 @@ def _nvars_for(args, *texts):
     if n < 1:
         raise ValueError("-n/--nvars must be at least 1")
     if n > MAX_NVARS:
-        raise ValueError(f"the ring would have {n} variables; at most "
-                         f"{MAX_NVARS} are supported")
+        raise ValueError(f"the ring would have {format_int(n)} variables; "
+                         f"at most {MAX_NVARS} are supported")
     return n
 
 
@@ -109,13 +110,12 @@ def cmd_v0_member(args):
     n = _nvars_for(args, args.f, args.P)
     f = parse_polynomial(args.f, n)
     P = parse_operator(args.P, n)
-    query = VMembershipQuery(f, P, args.k)
-    member = vfilt_mod.v_membership(query)
+    member = vfilt_mod.v_membership(f, P, args.k)
     return {
         "command": "v0-member",
         "input": {"f": format_polynomial(f), "P": format_operator(P),
                   "k": args.k, "nvars": n},
-        "order": query.order,
+        "order": 0 if P.is_zero() else int(P.order()),
         "member": member,
     }
 
@@ -195,7 +195,7 @@ def cmd_symalg(args):
         "ring_variables": [f"x{i+1}" for i in range(n)] +
                           [f"T{j+1}" for j in range(sp.module_rank)],
         "relations": [format_polynomial(r) for r in sp.relations],
-        "rees_kernel": [format_polynomial(p) for p in rk.generators],
+        "rees_kernel": [format_polynomial(p) for p in gb_polys(rk)],
         "pi_injective": injective,
         "torsion": {
             "k": report.tdegree,
@@ -368,7 +368,34 @@ def _scalar(v):
         return "null"
     if isinstance(v, bool):
         return "true" if v else "false"
-    return str(v)
+    return format_int(v) if isinstance(v, int) else str(v)
+
+
+def _dumps(data):
+    """``data`` as indented JSON with sorted keys.  json writes an int with
+    ``int.__repr__``, which refuses one past the interpreter's limit on
+    int/str conversion (4300 digits by default); then every int goes in as
+    a placeholder string and comes out as its ``format_int`` digits."""
+    try:
+        return json.dumps(data, indent=2, sort_keys=True)
+    except ValueError:
+        pass
+    ints = []
+
+    def mark(v):
+        if isinstance(v, dict):
+            return {k: mark(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [mark(x) for x in v]
+        if isinstance(v, int) and not isinstance(v, bool):
+            ints.append(v)
+            return f"\0{len(ints) - 1}"
+        return v
+
+    text = json.dumps(mark(data), indent=2, sort_keys=True)
+    for i, v in enumerate(ints):
+        text = text.replace(f'"\\u0000{i}"', format_int(v), 1)
+    return text
 
 
 def _attach_dash_values(argv):
@@ -451,7 +478,7 @@ def run(argv) -> int:
     elapsed = time.perf_counter() - t0
     if args.as_json:
         payload = {"schema": SCHEMA, **data}
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_dumps(payload) + "\n")
     else:
         _emit_human(data, sys.stdout)
         sys.stdout.write(f"elapsed: {elapsed:.3f}s\n")

@@ -14,7 +14,10 @@ A power ``p^k`` is refused with a ``ParseError`` when its estimated cost,
 taken from p's terms before anything is expanded, exceeds
 ``MAX_POWER_BITS`` or ``MAX_POWER_WORK`` (``_power_refusal``).  A power of a
 single commuting term with coefficient 1, such as ``x^1000000`` or
-``dx^1000000000``, is one step and always parses.
+``dx^1000000000``, is one step and always parses.  A product ``a*b`` is
+refused when its estimated work exceeds ``MAX_POWER_WORK``
+(``_product_refusal``).  Literals, exponents and variable indices may have
+any number of digits.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, lcm, log2, prod
 
-from .poly import Polynomial
+from .poly import Polynomial, parse_int
 from .weyl import WeylOperator, compose
 
 
@@ -106,7 +109,7 @@ def _resolve_name(name, nvars, allow_d, line, col):
     if body in _ALIAS_INDEX and nvars <= 4:
         idx = _ALIAS_INDEX[body]
     elif body.startswith("x") and _is_index(body[1:]):
-        idx = int(body[1:]) - 1
+        idx = parse_int(body[1:]) - 1
     if kind == "var" and idx is None and allow_d is False and name.startswith("d"):
         raise ParseError(f"unknown variable {name!r} (derivatives are not "
                          "allowed in a polynomial)", line, col)
@@ -127,7 +130,7 @@ def infer_nvars(*texts):
             if body in _ALIAS_INDEX:
                 n = max(n, _ALIAS_INDEX[body] + 1)
             elif body.startswith("x") and _is_index(body[1:]):
-                n = max(n, int(body[1:]))
+                n = max(n, parse_int(body[1:]))
     return n
 
 
@@ -137,14 +140,73 @@ def _lift(value):
     return value
 
 
-def _mul(a, b):
-    """Weyl product of two parsed values, each a polynomial or an operator."""
+def _mul(a, b, tok):
+    """Weyl product of two parsed values, each a polynomial or an operator;
+    a ``ParseError`` at the ``*`` token ``tok`` if ``_product_refusal``
+    refuses it.  The term counts come first: a commuting product of at most
+    ``_FREE_PAIRS`` coefficient pairs is not weighed."""
+    if isinstance(a, Polynomial):
+        leibniz = False
+    else:
+        b = _lift(b)
+        leibniz = not all(q.is_constant() for q in b.terms.values())
+    pairs = _size(a) * _size(b)
+    if leibniz or pairs > _FREE_PAIRS:
+        refusal = _product_refusal(a, b, pairs, leibniz)
+        if refusal:
+            raise ParseError(refusal, tok[2], tok[3])
     if isinstance(a, Polynomial):
         return a * b if isinstance(b, Polynomial) else b.left_mul(a)
-    b = _lift(b)
-    if all(q.is_constant() for q in b.terms.values()):
-        return a.right_mul(b)
-    return compose(a, b)
+    return compose(a, b) if leibniz else a.right_mul(b)
+
+
+def _terms(value):
+    """(monomial, coefficient) pairs of a polynomial, or (x-exponents +
+    d-exponents, coefficient) pairs of an operator."""
+    if isinstance(value, Polynomial):
+        return value.terms.items()
+    return [(m + b, c) for b, p in value.terms.items()
+            for m, c in p.terms.items()]
+
+
+def _size(value):
+    """The number of ``_terms``, without listing them."""
+    if isinstance(value, Polynomial):
+        return len(value.terms)
+    return sum(len(p.terms) for p in value.terms.values())
+
+
+_FREE_PAIRS = MAX_POWER_WORK // (1 + 2 * MAX_POWER_BITS // 256)
+"""Coefficient pairs of a commuting product that passes unweighed: with
+both coefficients at ``MAX_POWER_BITS`` it stays within the work limit."""
+
+
+def _product_refusal(a, b, pairs, leibniz):
+    """Why a*b is refused, or None.  The work is weighed as
+    ``_power_refusal`` weighs the last multiplication of a power: the
+    coefficient products ``pairs`` = ta*tb of the operands' term counts,
+    times 1 + bits/256, bits the longest coefficient of a plus that of b,
+    and, for a Weyl composition (``leibniz``), times the Leibniz terms of
+    one term product, prod(1 + m_i) with m_i = min(d_i-degree of a,
+    x_i-degree of b); its c = sum(m_i) contractions add c*log2(c) bits."""
+    if not pairs:
+        return None
+    bits = sum(max(c.numerator.bit_length() + c.denominator.bit_length()
+                   for _, c in _terms(v)) for v in (a, b))
+    terms = 1
+    if leibniz:
+        dmax = [max(col) for col in zip(*a.terms)]
+        xmax = [max(col) for col in zip(*(m for q in b.terms.values()
+                                          for m in q.terms))]
+        mins = [min(d, x) for d, x in zip(dmax, xmax)]
+        c = sum(mins)
+        bits += c * log2(c) if c > 1 else 0
+        terms = prod(1 + m for m in mins)
+    work = pairs * (1 + bits / 256) * terms
+    if work > MAX_POWER_WORK:
+        return (f"product too large: estimated work {work:.3g}, the limit "
+                f"is {MAX_POWER_WORK}")
+    return None
 
 
 def _power_refusal(base, k):
@@ -166,11 +228,7 @@ def _power_refusal(base, k):
     # past 2^64 only powers of a term +-x^a*d^b without contractions pass,
     # as at 2^64
     k = min(k, 1 << 64)
-    if isinstance(base, Polynomial):
-        terms = list(base.terms.items())
-    else:
-        terms = [(m + b, c) for b, p in base.terms.items()
-                 for m, c in p.terms.items()]
+    terms = list(_terms(base))
     t, n = len(terms), base.nvars
     degs = [max(col) for col in zip(*(m for m, _ in terms))]
     mins = [min(a, b) for a, b in zip(degs[:n], degs[n:])]
@@ -244,8 +302,8 @@ class _Parser:
     def term(self):
         value = self.unary()
         while self.peek()[0] == "*":
-            self.next()
-            value = _mul(value, self.unary())
+            tok = self.next()
+            value = _mul(value, self.unary(), tok)
         return value
 
     def unary(self):
@@ -263,7 +321,7 @@ class _Parser:
             tok = self.next()
             if tok[0] != "INT":
                 self.error("exponent must be a nonnegative integer", tok)
-            k = int(tok[1])
+            k = parse_int(tok[1])
             refusal = (not named and k > 1 and not base.is_zero() and
                        _power_refusal(base, k))
             if refusal:
@@ -274,14 +332,14 @@ class _Parser:
     def atom(self):
         tok = self.next()
         if tok[0] == "INT":
-            num = int(tok[1])
+            num = parse_int(tok[1])
             if self.peek()[0] == "/":
                 self.next()
-                den = self.next()
-                if den[0] != "INT" or int(den[1]) == 0:
-                    self.error("expected a nonzero integer denominator", den)
-                return Polynomial.constant(self.nvars,
-                                           Fraction(num, int(den[1])))
+                tok = self.next()
+                den = parse_int(tok[1]) if tok[0] == "INT" else 0
+                if not den:
+                    self.error("expected a nonzero integer denominator", tok)
+                return Polynomial.constant(self.nvars, Fraction(num, den))
             return Polynomial.constant(self.nvars, num)
         if tok[0] == "NAME":
             kind, idx = _resolve_name(tok[1], self.nvars,

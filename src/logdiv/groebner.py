@@ -671,15 +671,11 @@ def tagged_lift(v: FreeModuleVector, tagged):
     return [-nf.components[rank + i] for i in range(m)]
 
 
-def module_lift(v: FreeModuleVector, gens):
-    """Coefficients (q_1..q_m) with v = sum q_i g_i, or None if v is not in
-    the submodule."""
-    return tagged_lift(v, tagged_basis(gens))
-
-
 def ideal_lift(g: Polynomial, polys):
-    return module_lift(FreeModuleVector.from_polynomial(g),
-                       [FreeModuleVector.from_polynomial(p) for p in polys])
+    """Cofactors (q_1..q_m) with g = sum q_i p_i, or None if g is not in
+    the ideal of the p_i."""
+    return tagged_lift(FreeModuleVector.from_polynomial(g), tagged_basis(
+        [FreeModuleVector.from_polynomial(p) for p in polys]))
 
 
 # ---------------------------------------------------------------------------
@@ -799,24 +795,21 @@ def vector_degree(v: FreeModuleVector, weights=None, shifts=None):
 
 
 def graded_min_generators(vectors, weights=None, shifts=None):
-    """Minimal homogeneous generating subset, greedily by degree
-    (graded Nakayama).  Returns (kept_vectors, degrees)."""
+    """Minimal homogeneous generating subset (graded Nakayama), read off
+    one syzygy computation: in the order (degree, lead, index) of
+    ``graded_ranking``, a vector stays unless it lies in the submodule of
+    the ones before it.  Degrees are ``vector_degree`` under ``weights``
+    and ``shifts``; zero vectors drop out.  Returns (kept_vectors,
+    degrees), in that order."""
     vectors = list(vectors)
-    kept, degrees = graded_min_indices(
-        vectors, [vector_degree(v, weights, shifts) for v in vectors])
-    return [vectors[i] for i in kept], degrees
-
-
-def graded_min_indices(vectors, degrees):
-    """Positions in ``vectors`` of the subset ``graded_min_generators``
-    keeps, given the degree of each vector, with the kept degrees."""
+    degrees = [vector_degree(v, weights, shifts) for v in vectors]
     ranked = graded_ranking(vectors, degrees)
     if not ranked:
         return [], []
     redundant = graded_redundant(syzygies([vectors[i] for i in ranked]),
                                  len(ranked))
     kept = [i for j, i in enumerate(ranked) if j not in redundant]
-    return kept, [degrees[i] for i in kept]
+    return [vectors[i] for i in kept], [degrees[i] for i in kept]
 
 
 def graded_ranking(vectors, degrees):

@@ -276,14 +276,10 @@ class Polynomial:
         degs = {sum(w * e for w, e in zip(weights, m)) for m in self.terms}
         return len(degs) <= 1
 
-    def lead_mono(self, order: TermOrder = DEGREVLEX) -> Mono:
+    def lead_coeff(self, order: TermOrder = DEGREVLEX) -> Fraction:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        key = order.key
-        return max(self.terms, key=key)
-
-    def lead_coeff(self, order: TermOrder = DEGREVLEX) -> Fraction:
-        return self.terms[self.lead_mono(order)]
+        return self.terms[max(self.terms, key=order.key)]
 
     def sorted_terms(self, order: TermOrder = DEGREVLEX, reverse=True):
         key = order.key
@@ -425,6 +421,47 @@ def divide_exact(g: Polynomial, h: Polynomial):
 
 _ALIAS = ("x", "y", "z", "w")
 
+_DIGITS = 600
+"""Digits that ``parse_int`` hands to one ``int`` call: below 640, the
+smallest limit on int/str conversion an interpreter can be set to."""
+
+
+def format_int(n: int) -> str:
+    """Decimal digits of an int of any length.  ``str`` refuses an int past
+    the interpreter's limit on int/str conversion (4300 digits by default);
+    such an int is split at a power of ten into halves until each
+    converts."""
+    try:
+        return str(n)
+    except ValueError:
+        pass
+    if n < 0:
+        return "-" + format_int(-n)
+    half = n.bit_length() * 3 // 20   # about half the digits, log10(2) > 0.3
+    hi, lo = divmod(n, 10 ** half)
+    return format_int(hi) + format_int(lo).zfill(half)
+
+
+def parse_int(digits: str) -> int:
+    """The int of a string of ASCII digits of any length, the inverse of
+    ``format_int``."""
+    if len(digits) <= _DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return parse_int(digits[:-half]) * 10 ** half + parse_int(digits[-half:])
+
+
+def _format_number(c) -> str:
+    """An int or Fraction as ``str`` writes it, ``num/den`` if not
+    integral, with ``format_int`` digits."""
+    try:
+        return str(c)
+    except ValueError:
+        num = format_int(c.numerator)
+        if c.denominator == 1:
+            return num
+        return f"{num}/{format_int(c.denominator)}"
+
 
 def var_name(i: int, nvars: int) -> str:
     if nvars <= 4:
@@ -442,14 +479,14 @@ def format_polynomial(p: Polynomial, order: TermOrder = DEGREVLEX) -> str:
             if e == 0:
                 continue
             v = var_name(i, p.nvars)
-            factors.append(v if e == 1 else f"{v}^{e}")
+            factors.append(v if e == 1 else f"{v}^{format_int(e)}")
         mag = abs(c)
         if not factors:
-            body = str(mag)
+            body = _format_number(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([str(mag)] + factors)
+            body = "*".join([_format_number(mag)] + factors)
         if not bits:
             bits.append(body if c > 0 else "-" + body)
         else:

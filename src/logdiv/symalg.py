@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 
 from .groebner import (FreeModuleVector, GroebnerBasis, buchberger, codim,
                        colon_by_variable, default_module_order, eliminate,
-                       gb_equal, gb_polys, graded_min_generators, ideal_gb,
+                       gb_equal, graded_min_generators, ideal_gb,
                        module_quotient_by_poly, normal_form, vector_lead_term)
 from .logder import DerivationModule
 from .poly import Polynomial, monomials_of_degree
@@ -69,26 +69,17 @@ class SymPresentation:
                 for s in self.syzygies]
 
 
-@dataclass
-class ReesKernel:
-    """Full relation ideal Q of the generator symbols inside O[T]; always
-    contains the linear syzygy ideal J."""
-
-    ideal: GroebnerBasis
-
-    @property
-    def generators(self):
-        return gb_polys(self.ideal)
-
-
 def sym_presentation(dm: DerivationModule) -> SymPresentation:
     return SymPresentation(dm.nvars, len(dm.generators), dm.first_syzygies,
                            gen_degrees=dm.grading[1], weights=dm.grading[0])
 
 
-def rees_kernel(dm: DerivationModule) -> ReesKernel:
-    """Relations of the symbols sigma(theta_i) = sum_j a_ij xi_j, by
-    eliminating the xi variables from <T_i - sigma_i>."""
+def rees_kernel(dm: DerivationModule) -> GroebnerBasis:
+    """The Rees kernel Q: the full relation ideal of the generator symbols
+    sigma(theta_i) = sum_j a_ij xi_j inside O[T], by eliminating the xi
+    variables from <T_i - sigma_i>.  Returned as its reduced degrevlex
+    Groebner basis in the ring x_1..x_n, T_1..T_m (``gb_polys`` lists the
+    polynomials); it always contains the linear syzygy ideal J."""
     n = dm.nvars
     m = len(dm.generators)
     big = 2 * n + m
@@ -107,16 +98,15 @@ def rees_kernel(dm: DerivationModule) -> ReesKernel:
     ring = n + m
     projected = [FreeModuleVector.from_polynomial(
         _restrict(v.components[0], ring, keep)) for v in elim.generators]
-    gb = GroebnerBasis(projected, default_module_order(), 1, ring)
-    return ReesKernel(gb)
+    return GroebnerBasis(projected, default_module_order(), 1, ring)
 
 
-def pi_injectivity_test(sp: SymPresentation, rk: ReesKernel) -> bool:
-    """Sym -> Rees is injective iff J = Q as ideals."""
+def pi_injectivity_test(sp: SymPresentation, rk: GroebnerBasis) -> bool:
+    """Sym -> Rees is injective iff J = Q as ideals, Q the ``rees_kernel``."""
     rels = sp.relations
     if not rels:
-        return rk.ideal.is_zero_module()
-    return gb_equal(ideal_gb(rels), rk.ideal)
+        return rk.is_zero_module()
+    return gb_equal(ideal_gb(rels), rk)
 
 
 # ---------------------------------------------------------------------------

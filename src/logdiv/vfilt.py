@@ -41,25 +41,6 @@ def _conditions(nvars, order, level):
                 yield alpha, l
 
 
-@dataclass
-class VMembershipQuery:
-    divisor: Polynomial
-    operator: WeylOperator
-    level: int
-    order: int = field(init=False)
-
-    def __post_init__(self):
-        _require_divisor(self.divisor)
-        if self.operator.nvars != self.divisor.nvars:
-            raise ValueError("ring dimension mismatch")
-        d = self.operator.order()
-        self.order = 0 if self.operator.is_zero() else int(d)
-
-    def conditions(self):
-        """All (alpha, l) with |alpha| + l <= order and l - level >= 1."""
-        return list(_conditions(self.divisor.nvars, self.order, self.level))
-
-
 def _deriv(terms, shift, mask):
     """d/dx_i of packed (monomial, coefficient) pairs, x_i's slot at shift."""
     unit = 1 << shift
@@ -125,10 +106,15 @@ class _DerivTable:
         return table
 
 
-def v_membership(query: VMembershipQuery) -> bool:
-    """Decide P in V_k.  If f(0) != 0, each f^p is a unit at the origin.
-    Else a nonzero multiple of f^p has order >= p * ord(f) there, so a
-    smaller image fails before f^p is formed: p <= deg g at any level k.
+def v_membership(f: Polynomial, P: WeylOperator, k: int) -> bool:
+    """Decide P in V_k along the divisor f: P(x^alpha f^l) in O * f^(l-k)
+    for each (alpha, l) of ``_conditions`` at order(P).  A constant f is
+    an ``InvalidDivisor`` and an operator over another ring a
+    ``ValueError``, also when P = 0.
+
+    If f(0) != 0, each f^p is a unit at the origin.  Else a nonzero
+    multiple of f^p has order >= p * ord(f) there, so a smaller image fails
+    before f^p is formed: p <= deg g at any level k.
     For homogeneous f, membership in f^p * O_0 is membership in (f^p);
     otherwise membership in (f^p) implies it, and the local test runs only
     for images outside (f^p).
@@ -141,22 +127,23 @@ def v_membership(query: VMembershipQuery) -> bool:
     for p*ord(f) <= top, and p <= order(P) - k; for non-homogeneous f,
     p*deg f can exceed top.  Scaling an image leaves its membership
     alone."""
-    f = query.divisor
-    P = query.operator
+    _require_divisor(f)
+    if P.nvars != f.nvars:
+        raise ValueError("ring dimension mismatch")
     if P.is_zero() or f.constant_term():
         return True
+    order = P.order()
     coeffs = P.terms.values()
     e, ford = f.degree(), min(map(mono_deg, f.terms))
-    top = query.order * e + max(mono_deg(m) for c in coeffs for m in c.terms)
-    images = _DerivTable(f, P.terms, max(
-        top, min(query.order - query.level, top // ford) * e))
+    top = order * e + max(mono_deg(m) for c in coeffs for m in c.terms)
+    images = _DerivTable(f, P.terms, max(top, min(order - k, top // ford) * e))
     pden = lcm(*(c.denominator for p in coeffs for c in p.terms.values()))
     pint = [(beta, [(images.pack(m), c.numerator * (pden // c.denominator))
                     for m, c in p.terms.items()])
             for beta, p in P.terms.items()]
     gbs = {}
-    for alpha, l in query.conditions():
-        p = l - query.level
+    for alpha, l in _conditions(f.nvars, order, k):
+        p = l - k
         table = images.table(alpha, l)
         acc = {}
         for beta, coeff in pint:
@@ -177,8 +164,7 @@ def v_membership(query: VMembershipQuery) -> bool:
     return True
 
 
-def v_member(f: Polynomial, P: WeylOperator, k: int) -> bool:
-    return v_membership(VMembershipQuery(f, P, k))
+v_member = v_membership
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +239,6 @@ class GradedOperatorSpace:
     def contains(self, op: WeylOperator) -> bool:
         vec = self.coords.op_to_vec(op)
         return not any(linalg.residual(vec, self.rows, self.pivots))
-
-
-def _space_from_vectors(f, d, w, coords, vectors) -> GradedOperatorSpace:
-    return GradedOperatorSpace(f, d, w, coords,
-                               *linalg.rref(vectors, len(coords)))
 
 
 class NonHomogeneousError(ValueError):
@@ -383,7 +364,8 @@ def vk_graded_basis(f: Polynomial, k: int, d: int, w: int) -> GradedOperatorSpac
         # form f^(-k) only for a nonempty inner piece: it then fits the box
         fk = f ** (-k) if inner else None
         vectors = [coords.op_to_vec(op.left_mul(fk)) for op in inner]
-        return _space_from_vectors(f, d, w, coords, vectors)
+        return GradedOperatorSpace(f, d, w, coords,
+                                   *linalg.rref(vectors, len(coords)))
     return GradedOperatorSpace(f, d, w, coords,
                                *_condition_kernel(f, coords, d, k))
 
@@ -426,7 +408,8 @@ def logder_generated_graded(f: Polynomial, d: int, w: int,
             for gamma in monomials_of_degree(n, gdeg):
                 shifted = op.left_mul(Polynomial.monomial(n, gamma))
                 vectors.append(coords.op_to_vec(shifted))
-    return _space_from_vectors(f, d, w, coords, vectors)
+    return GradedOperatorSpace(f, d, w, coords,
+                               *linalg.rref(vectors, len(coords)))
 
 
 @dataclass

@@ -7,8 +7,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, inf
 
-from .poly import (DEGREVLEX, Polynomial, format_polynomial, mono_deg,
-                   mono_mul, var_name)
+from .poly import (DEGREVLEX, Polynomial, format_int, format_polynomial,
+                   mono_deg, mono_mul, var_name)
 
 
 class WeylOperator:
@@ -81,32 +81,13 @@ class WeylOperator:
             coeffs.append(self.terms.get(beta, Polynomial.zero(self.nvars)))
         return coeffs
 
-    def weight_components(self, weights=None):
-        """Split into weight-homogeneous parts: a term p*d^beta with p
-        w-homogeneous has weight deg_w(p) - w.beta.  Returns {weight: op}."""
-        w = tuple(weights) if weights is not None else (1,) * self.nvars
-        parts = {}
-        for b, p in self.terms.items():
-            shift = sum(x * y for x, y in zip(w, b))
-            for m, c in p.terms.items():
-                wt = sum(x * y for x, y in zip(w, m)) - shift
-                bucket = parts.setdefault(wt, {})
-                q = bucket.setdefault(b, {})
-                q[m] = q.get(m, 0) + c
-        out = {}
-        for wt, bucket in parts.items():
-            terms = {b: Polynomial(self.nvars, t) for b, t in bucket.items()}
-            op = WeylOperator(self.nvars, terms)
-            if not op.is_zero():
-                out[wt] = op
-        return out
-
     def weight(self, weights=None):
-        """Weight if weight-homogeneous, else None; None for zero."""
-        parts = self.weight_components(weights)
-        if len(parts) != 1:
-            return None
-        return next(iter(parts))
+        """Weight if weight-homogeneous, else None; None for zero.  A term
+        x^m*d^beta has weight w.m - w.beta."""
+        w = tuple(weights) if weights is not None else (1,) * self.nvars
+        found = {sum(x * (y - z) for x, y, z in zip(w, m, b))
+                 for b, p in self.terms.items() for m in p.terms}
+        return found.pop() if len(found) == 1 else None
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -305,7 +286,7 @@ def format_operator(P: WeylOperator) -> str:
             if e == 0:
                 continue
             name = _d_name(i, P.nvars)
-            dfactors.append(name if e == 1 else f"{name}^{e}")
+            dfactors.append(name if e == 1 else f"{name}^{format_int(e)}")
         ds = "*".join(dfactors)
         coeff = format_polynomial(p)
         if len(p.terms) > 1:

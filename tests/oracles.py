@@ -13,7 +13,8 @@ reduced Groebner bases come from a textbook Buchberger on Fraction term
 maps that treats every pair (no pair criteria, no packed terms),
 and the operator parser is checked against the one the library used before
 it kept coefficients as polynomials (every value an operator, every
-product a Leibniz composition over all delta <= beta).
+product a Leibniz composition over all delta <= beta), with frozen copies
+of its tokenizer and name resolution.
 
 The last section holds helpers that tests share but the library does not
 need: ``subs`` (substitution), ``affine_map`` and ``affine_transform`` (an
@@ -28,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
 
-from logdiv.grammar import ParseError, _resolve_name, _tokenize
+from logdiv.grammar import ParseError
 from logdiv.groebner import (FreeModuleVector, buchberger, in_submodule,
                              syzygies, vector_lead_term)
 from logdiv.poly import Polynomial, mono_deg, monomials_of_degree
@@ -511,13 +512,82 @@ def leibniz_compose(P: WeylOperator, Q: WeylOperator) -> WeylOperator:
     return WeylOperator(P.nvars, acc)
 
 
+_OPS = set("+-*^/()")
+_ALIAS_INDEX = {"x": 0, "y": 1, "z": 2, "w": 3}
+
+
+def tokenize(text):
+    """(kind, text, line, column) tokens, as the library's tokenizer made
+    them before products were bounded and integers of any length read."""
+    tokens = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch in _OPS:
+            tokens.append((ch, ch, line, col))
+            col += 1
+            i += 1
+            continue
+        if "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            tokens.append(("INT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("NAME", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(("EOF", "", line, col))
+    return tokens
+
+
+def resolve_name(name, nvars, allow_d, line, col):
+    """('var'|'dvar', index) of a variable or derivative name."""
+    kind = "var"
+    body = name
+    if name.startswith("d") and len(name) > 1:
+        if allow_d:
+            kind, body = "dvar", name[1:]
+    idx = None
+    if body in _ALIAS_INDEX and nvars <= 4:
+        idx = _ALIAS_INDEX[body]
+    elif (body.startswith("x") and body[1:].isascii()
+          and body[1:].isdigit()):
+        idx = int(body[1:]) - 1
+    if kind == "var" and idx is None and allow_d is False and name.startswith("d"):
+        raise ParseError(f"unknown variable {name!r} (derivatives are not "
+                         "allowed in a polynomial)", line, col)
+    if idx is None or not 0 <= idx < nvars:
+        raise ParseError(f"unknown variable {name!r} in a ring with "
+                         f"{nvars} variable(s)", line, col)
+    return kind, idx
+
+
 class ComposeEverythingParser:
     """The grammar's recursive descent, evaluating in operator mode with
     every value a ``WeylOperator``, every product ``leibniz_compose`` and
     powers by its own squaring loop."""
 
     def __init__(self, text, nvars, operator_mode):
-        self.tokens = _tokenize(text)
+        self.tokens = tokenize(text)
         self.pos = 0
         self.nvars = nvars
         self.operator_mode = operator_mode
@@ -619,8 +689,8 @@ class ComposeEverythingParser:
                 return self.const(Fraction(num, int(den[1])))
             return self.const(num)
         if tok[0] == "NAME":
-            kind, idx = _resolve_name(tok[1], self.nvars,
-                                      self.operator_mode, tok[2], tok[3])
+            kind, idx = resolve_name(tok[1], self.nvars,
+                                     self.operator_mode, tok[2], tok[3])
             return self.atom_var(kind, idx)
         if tok[0] == "(":
             value = self.expr()

@@ -21,7 +21,7 @@ from logdiv.poly import Polynomial
 from logdiv.symalg import (alpha_image_nf, grade_criterion,
                            pi_injectivity_test, rees_kernel, sym_presentation,
                            symk_module, torsion_test_symk)
-from logdiv.vfilt import (VMembershipQuery, compare_v0, default_weight_range,
+from logdiv.vfilt import (_conditions, compare_v0, default_weight_range,
                           v0_graded_basis, v_member, v_membership)
 from logdiv.weyl import WeylOperator, apply_op, compose
 
@@ -79,11 +79,10 @@ def test_criterion_1_normal_crossing_modules():
 def test_criterion_2_example9_membership(quintic):
     with _Timer("2 (order-2 operator lies in level 0)"):
         f, Q = quintic
-        query = VMembershipQuery(f, Q, 0)
-        conds = query.conditions()
+        conds = list(_conditions(f.nvars, Q.order(), 0))
         assert {(sum(a), l) for a, l in conds} == {(0, 1), (1, 1), (0, 2)}
         assert len(conds) == 5
-        assert v_membership(query)
+        assert v_membership(f, Q, 0)
 
 
 def test_criterion_3_example16_gap(quintic):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import time
@@ -75,6 +76,38 @@ def test_v0_member_example9():
     data = invoke_json(["v0-member", "-f", arr["f"], "-P", arr["Q"], "-k", "0"])
     assert data["member"] is True
     assert data["order"] == 2
+
+
+# sha256 of the whole v0-member --json output, "order" included, from before
+# the membership query object was folded into v_membership
+V0_MEMBER_PINS = [
+    (["-f", "x*y", "-P", "-x*dx"],
+     "4c9d33b240b6415bb79e3a9f06089b041e1894785d821b02798994529fa0bb01"),
+    (["-f", "x+y", "-P", "dx", "-k", "-2000"],
+     "b23c1dabda2e9201fe704f7c852cdda6a18e284c376c7dc47066e8446dfb4321"),
+    (["-f", "x+y", "-P", "dx", "-k", "-900"],
+     "5a02dc7d449f8f40433d784e9a998273748a687b8c485f6381ce2800ff25638c"),
+    (["-f", "1+x+y^2", "-P", "dx", "-k", "-300"],
+     "1bda5068e70865c4aaf553825b7fffdcdaacf96d9f94cbaa83b0e88499a526ff"),
+    (["-f", "1+x+y^2", "-P", "dx", "-k", "-3"],
+     "66c754a7e091ae51624a4d73991969b14daae7f11ce69977bdaed7b9d821e660"),
+    (["-f", "x+y", "-P", "(x+y)^3*dx", "-k", "-2"],
+     "adf3bd7fc3d3fb44419ad3553548aa0aa6d32175cf7097b5eb655b28b92f4503"),
+    (["-f", "x*y", "-P", "0", "-k", "-5"],
+     "ad0017a47c918e0d31ffcc62862816cd3debd210a0d4c032366f84e82e78b1e9"),
+    ("example9",
+     "34d7e77e6a5db3ace286d8c4fa8a1015efa9df7d94410b931085d51e43f8086f"),
+]
+
+
+@pytest.mark.parametrize("args, sha", V0_MEMBER_PINS)
+def test_v0_member_output_is_pinned(args, sha):
+    if args == "example9":
+        arr = invoke_json(["arrangement", "example9"])
+        args = ["-f", arr["f"], "-P", arr["Q"], "-k", "0"]
+    code, out, err = invoke(["v0-member", *args, "--json"])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 def test_v0_basis_compare_reports_gap():

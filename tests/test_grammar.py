@@ -1,13 +1,16 @@
 """The operator parser against the compose-everything parser it replaced,
 and the work it does on normally ordered text."""
 
+import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from logdiv import grammar, weyl
 from logdiv.grammar import ParseError, parse_operator, parse_polynomial
+from logdiv.poly import format_int, format_polynomial, parse_int
 from logdiv.weyl import WeylOperator, format_operator
 
 from oracles import ComposeEverythingParser, rand_op
@@ -249,3 +252,143 @@ def test_powers_within_the_limits_parse(text, n):
     base, k = text.rsplit("^", 1)
     if int(k) <= 100:
         assert op == oracle(True)(f"{base}^{k}", n)
+
+
+# each estimate is past the work limit: the coefficient pairs for the sums,
+# the Leibniz terms for the Weyl products.  The last entry is a factor that
+# is parsed before the product is refused: (x+y+z+1)^20 and (x+1)^400 are
+# powers within the limits that take 0.25-0.4 s each on a shared 2-CPU
+# machine, so for those texts the 1 s bound counts only the time past
+# parsing the two factors of the refused product.
+OVERSIZED_PRODUCTS = [
+    ("(x+y+z+1)^20*(x+y+z+1)^20", 3, (1, 13), "(x+y+z+1)^20"),
+    ("(x+1)^400*(x+1)^400*(x+1)^400", 1, (1, 10), "(x+1)^400"),
+    ("dx^1000000000*x^1000000000", 1, (1, 14), None),
+    ("1 +\n dx^3000*x^3000", 1, (2, 9), None),
+]
+
+
+@pytest.mark.parametrize("text, n, where, factor", OVERSIZED_PRODUCTS)
+def test_oversized_products_are_refused_at_once(text, n, where, factor):
+    def factors_time(parse):
+        if factor is None:
+            return 0
+        start = time.perf_counter()
+        parse(factor, n)
+        return 2 * (time.perf_counter() - start)
+
+    for parse in (parse_operator, parse_polynomial):
+        if parse is parse_polynomial and "d" in text:
+            continue
+        allowed = 1 + factors_time(parse)
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="product too large") as err:
+            parse(text, n)
+        assert time.perf_counter() - start < allowed
+        assert f"the limit is {grammar.MAX_POWER_WORK}" in str(err.value)
+        assert (err.value.line, err.value.col) == where
+    argv = (["v0-member", "-f", "x", "-P", text, "-k", "0"] if "d" in text
+            else ["euler", text])
+    allowed = 1 + factors_time(parse_polynomial)
+    start = time.perf_counter()
+    code, out, err = invoke(argv + ["-n", str(n)])
+    assert code == 2 and out == "" and "product too large" in err
+    assert time.perf_counter() - start < allowed
+
+
+@pytest.mark.parametrize("text, n", [
+    ("(x+1)^200*(x+1)^200", 1), ("dx^300*x^300", 1),
+    ("(x+y+1)^6*(x*dx+y*dy+1)^3*(dx+dy)^4*(x-y)^5", 2)])
+def test_products_within_the_limit_parse(text, n):
+    start = time.perf_counter()
+    op = parse_operator(text, n)
+    assert time.perf_counter() - start < 1
+    if "d" not in text:
+        assert op == WeylOperator.from_polynomial(
+            parse_polynomial("(x+1)^400", n))
+        assert parse_polynomial(text, n) == op.terms[(0,) * n]
+    else:
+        assert op == oracle(True)(text, n)
+
+
+def test_small_products_are_not_weighed(monkeypatch):
+    """A commuting product of few coefficient pairs passes on its term
+    counts alone; a Weyl composition is always weighed."""
+    weighed = []
+    real = grammar._terms
+
+    def spy(value):
+        weighed.append(value)
+        return real(value)
+
+    monkeypatch.setattr(grammar, "_terms", spy)
+    parse_operator("2*x*y*(x + y)*(3*x - y)*dx*dy + x^2*y*(x + 1)", 2)
+    assert weighed == []
+    parse_operator("dx*x", 1)
+    assert len(weighed) == 2
+
+
+# digits past the interpreter's default limit on int/str conversion (4300)
+LONG = "7" * 5000
+
+
+def test_integers_of_any_length_parse_and_print():
+    big = parse_int(LONG)
+    assert big == (10 ** 5000 - 1) // 9 * 7
+    p = parse_polynomial(f"{LONG}*x - 1/{LONG}", 1)
+    assert p.terms == {(1,): big, (0,): Fraction(-1, big)}
+    assert parse_operator(f"{LONG}*x - 1/{LONG}", 1) == \
+        WeylOperator.from_polynomial(p)
+    f = parse_polynomial(f"{LONG}*x^{LONG} + 1/3*2^15000*y", 2)
+    assert f.terms == {(big, 0): big, (0, 1): Fraction(2 ** 15000, 3)}
+    assert parse_polynomial(format_polynomial(f), 2) == f
+    op = parse_operator(f"{LONG}*dx^{LONG}", 1)
+    assert op.terms == {(big,): parse_polynomial(LONG, 1)}
+    assert parse_operator(format_operator(op), 1) == op
+    assert grammar.infer_nvars(f"x{LONG}") == big
+
+
+def test_format_int_matches_an_independent_conversion():
+    """Digits checked against chunks of 500 from repeated division, which
+    never converts more than 500 digits at once."""
+    def chunked(n):
+        out = []
+        while n >= 10 ** 500:
+            n, r = divmod(n, 10 ** 500)
+            out.append(str(r).zfill(500))
+        return str(n) + "".join(reversed(out))
+
+    rng = random.Random(7)
+    for bits in (1, 64, 1993, 1994, 14000, 16000, 60000, 200000):
+        n = rng.getrandbits(bits) | (1 << (bits - 1))
+        assert format_int(n) == chunked(n)
+        assert parse_int(chunked(n)) == n
+        assert format_int(-n) == "-" + chunked(n)
+    for n in (10 ** 5000, 10 ** 5000 - 1, 10 ** 600, 10 ** 600 - 1):
+        assert format_int(n) == chunked(n) and parse_int(chunked(n)) == n
+    assert parse_int("0" * 5000 + "12") == 12
+
+
+def test_cli_integers_of_any_length():
+    start = time.perf_counter()
+    code, out, err = invoke(["euler", "2^15000*x", "--json"])
+    assert code == 0, err
+    text = json.loads(out)["input"]["f"]
+    assert len(text) == 4516 + 2
+    assert parse_polynomial(text, 1) == parse_polynomial("2^15000*x", 1)
+    code, out, err = invoke(["euler", f"{LONG}*x^{LONG}"])
+    assert code == 0 and LONG in out, err
+    code, out, err = invoke(["logder", f"x{LONG}"])
+    assert code == 2 and out == ""
+    assert err == (f"error: the ring would have {LONG} variables; at most "
+                   "32 are supported\n")
+    code, out, err = invoke(["logder", f"x{LONG}", "-n", "3"])
+    assert code == 2 and "unknown variable" in err
+    # f(0) != 0 answers at once, so the order is printed as it is
+    code, out, err = invoke(["v0-member", "-f", "x+1", "-P", f"dx^{LONG}",
+                             "--json"])
+    assert code == 0 and json.loads(out, parse_int=parse_int)["order"] == \
+        parse_int(LONG)
+    code, out, err = invoke(["v0-member", "-f", "x+1", "-P", f"dx^{LONG}"])
+    assert code == 0 and f"order: {LONG}\n" in out
+    assert time.perf_counter() - start < 1

@@ -10,7 +10,7 @@ from logdiv import groebner
 from logdiv.arrangements import generic_dn
 from logdiv.criterion import _split_complement
 from logdiv.grammar import parse_polynomial
-from logdiv.groebner import (FreeModuleVector, graded_min_indices,
+from logdiv.groebner import (FreeModuleVector, graded_min_generators,
                              vector_degree)
 from logdiv.logder import ann_theta, euler_field, log_derivations
 from logdiv.poly import Polynomial
@@ -32,18 +32,15 @@ DIVISORS = {
 
 
 def graded_families(f):
-    """(name, vectors, degrees) for Der(log f), Ann(f), the first syzygies
-    of each and the Sym^2 relations of each."""
+    """(name, vectors, weights, shifts) for Der(log f), Ann(f), the first
+    syzygies of each and the Sym^2 relations of each."""
     out = []
     for name, dm in (("der", log_derivations(f)), ("ann", ann_theta(f))):
         w, degs = dm.grading
-        out.append((name, dm.generators, degs))
-        syz = dm.first_syzygies
-        out.append((name + "-syz", syz,
-                    [vector_degree(s, w, degs) for s in syz]))
+        out.append((name, dm.generators, w, [-wi for wi in w]))
+        out.append((name + "-syz", dm.first_syzygies, w, degs))
         _, rels, shifts = symk_module(sym_presentation(dm), 2)
-        out.append((name + "-sym2", rels,
-                    [vector_degree(r, w, shifts) for r in rels]))
+        out.append((name + "-sym2", rels, w, shifts))
     return out
 
 
@@ -71,17 +68,18 @@ def padded(vectors, degrees, weights, rng):
 @pytest.mark.parametrize("name", sorted(DIVISORS))
 def test_min_indices_match_the_greedy_search(name):
     f = DIVISORS[name]()
-    weights = log_derivations(f).grading[0]
     rng = random.Random(name)
     checked = 0
-    for family, vectors, degrees in graded_families(f):
+    for family, vectors, w, shifts in graded_families(f):
         if not vectors:
             continue
+        degrees = [vector_degree(v, w, shifts) for v in vectors]
         cases = [(vectors, degrees)]
-        cases += [padded(vectors, degrees, weights, rng) for _ in range(2)]
+        cases += [padded(vectors, degrees, w, rng) for _ in range(2)]
         for vecs, degs in cases:
-            assert (graded_min_indices(vecs, degs) ==
-                    greedy_min_indices(vecs, degs)), family
+            kept, kept_degs = greedy_min_indices(vecs, degs)
+            assert (graded_min_generators(vecs, w, shifts) ==
+                    ([vecs[i] for i in kept], kept_degs)), family
             checked += 1
     assert checked >= 9
 
@@ -92,9 +90,11 @@ def test_min_indices_of_zero_and_repeated_vectors():
     vecs = [FreeModuleVector((x * y,)), zero, FreeModuleVector((x,)),
             FreeModuleVector((x,)), FreeModuleVector((y,))]
     degs = [2, None, 1, 1, 1]
-    assert graded_min_indices(vecs, degs) == ([4, 2], [1, 1])
+    kept, kept_degs = graded_min_generators(vecs)
+    assert kept[0] is vecs[4] and kept[1] is vecs[2] and len(kept) == 2
+    assert kept_degs == [1, 1]
     assert greedy_min_indices(vecs, degs) == ([4, 2], [1, 1])
-    assert graded_min_indices([zero], [None]) == ([], [])
+    assert graded_min_generators([zero]) == ([], [])
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from logdiv.arrangements import example9_objects, generic_dn
 from logdiv.grammar import parse_operator, parse_polynomial
 from logdiv.groebner import ideal_gb, local_membership_at_origin
 from logdiv.poly import Polynomial
-from logdiv.vfilt import (VMembershipQuery, default_weight_range, v_member,
+from logdiv.vfilt import (_conditions, default_weight_range, v_member,
                           vk_graded_basis)
 from logdiv.weyl import WeylOperator, apply_op
 
@@ -81,7 +81,8 @@ def test_piece_is_canonical_rref_of_members(name, k, d, w):
 def _member_by_every_condition(f, P, k):
     """Every condition, each as local membership in (f^p) at the origin."""
     n = f.nvars
-    for alpha, l in VMembershipQuery(f, P, k).conditions():
+    order = 0 if P.is_zero() else P.order()
+    for alpha, l in _conditions(n, order, k):
         g = apply_op(P, Polynomial.monomial(n, alpha) * f ** l)
         if not local_membership_at_origin(g, ideal_gb([f ** (l - k)])):
             return False

@@ -159,8 +159,12 @@ def test_weights():
     assert Q.weight() == 3
     mixed = OP("x*dx + x", 1)
     assert mixed.weight() is None
-    parts = mixed.weight_components()
-    assert parts[0] == OP("x*dx", 1) and parts[1] == OP("x", 1)
+    assert OP("x*dx + dx", 1).weight() is None
+    assert OP("x*dx + y*dy + x^2*dy", 2).weight() is None
+    assert WeylOperator.zero(2).weight() is None
+    assert OP("x^2*dx + x*y*dy", 2).weight() == 1
+    assert OP("x*dx + y*dy", 2).weight((3, 5)) == 0
+    assert OP("dx + x*dx^2 + y*dx*dy", 2).weight((1, 2)) == -1
 
 
 def test_quasi_weights_on_operators():
