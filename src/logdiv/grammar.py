@@ -15,9 +15,9 @@ taken from p's terms before anything is expanded, exceeds
 ``MAX_POWER_BITS`` or ``MAX_POWER_WORK`` (``_power_refusal``).  A power of a
 single commuting term with coefficient 1, such as ``x^1000000`` or
 ``dx^1000000000``, is one step and always parses.  A product ``a*b`` is
-refused when its estimated work exceeds ``MAX_POWER_WORK``
-(``_product_refusal``).  Literals, exponents and variable indices may have
-any number of digits.
+refused when its estimated coefficient length or work exceeds the same
+limits (``_product_refusal``).  Literals, exponents and variable indices
+may have any number of digits.
 """
 
 from __future__ import annotations
@@ -39,13 +39,13 @@ class ParseError(ValueError):
 _OPS = set("+-*^/()")
 
 MAX_POWER_BITS = 1 << 20
-"""Largest estimated bit length of a coefficient of a power."""
+"""Largest estimated bit length of a coefficient of a power or product."""
 
 MAX_POWER_WORK = 1 << 18
-"""Largest estimated work of a power: the coefficient products of its
-last multiplication, weighted by coefficient length and, in the Weyl
-algebra, by the Leibniz terms of a product (``_power_refusal``).  At the
-limit a power takes about a second."""
+"""Largest estimated work of a power or product: the coefficient products
+of its (last) multiplication, weighted by coefficient length and, in the
+Weyl algebra, by the Leibniz terms of a product (``_power_refusal``,
+``_product_refusal``).  At the limit a power takes about a second."""
 
 
 def _tokenize(text):
@@ -143,18 +143,15 @@ def _lift(value):
 def _mul(a, b, tok):
     """Weyl product of two parsed values, each a polynomial or an operator;
     a ``ParseError`` at the ``*`` token ``tok`` if ``_product_refusal``
-    refuses it.  The term counts come first: a commuting product of at most
-    ``_FREE_PAIRS`` coefficient pairs is not weighed."""
+    refuses it."""
     if isinstance(a, Polynomial):
         leibniz = False
     else:
         b = _lift(b)
         leibniz = not all(q.is_constant() for q in b.terms.values())
-    pairs = _size(a) * _size(b)
-    if leibniz or pairs > _FREE_PAIRS:
-        refusal = _product_refusal(a, b, pairs, leibniz)
-        if refusal:
-            raise ParseError(refusal, tok[2], tok[3])
+    refusal = _product_refusal(a, b, leibniz)
+    if refusal:
+        raise ParseError(refusal, tok[2], tok[3])
     if isinstance(a, Polynomial):
         return a * b if isinstance(b, Polynomial) else b.left_mul(a)
     return compose(a, b) if leibniz else a.right_mul(b)
@@ -169,30 +166,29 @@ def _terms(value):
             for m, c in p.terms.items()]
 
 
-def _size(value):
-    """The number of ``_terms``, without listing them."""
+def _coefficients(value):
+    """The coefficients of ``_terms(value)``, without their monomials."""
     if isinstance(value, Polynomial):
-        return len(value.terms)
-    return sum(len(p.terms) for p in value.terms.values())
+        return value.terms.values()
+    return [c for p in value.terms.values() for c in p.terms.values()]
 
 
-_FREE_PAIRS = MAX_POWER_WORK // (1 + 2 * MAX_POWER_BITS // 256)
-"""Coefficient pairs of a commuting product that passes unweighed: with
-both coefficients at ``MAX_POWER_BITS`` it stays within the work limit."""
-
-
-def _product_refusal(a, b, pairs, leibniz):
-    """Why a*b is refused, or None.  The work is weighed as
-    ``_power_refusal`` weighs the last multiplication of a power: the
-    coefficient products ``pairs`` = ta*tb of the operands' term counts,
-    times 1 + bits/256, bits the longest coefficient of a plus that of b,
-    and, for a Weyl composition (``leibniz``), times the Leibniz terms of
-    one term product, prod(1 + m_i) with m_i = min(d_i-degree of a,
-    x_i-degree of b); its c = sum(m_i) contractions add c*log2(c) bits."""
-    if not pairs:
+def _product_refusal(a, b, leibniz):
+    """Why a*b is refused, or None, judged as ``_power_refusal`` judges the
+    last multiplication of a power.  A coefficient of a*b has about bits =
+    log2|c_a| + log2|c_b| (numerators and denominators, each operand's
+    largest) bits, and for a Weyl composition (``leibniz``) its c = sum(m_i)
+    contractions, m_i = min(d_i-degree of a, x_i-degree of b), add
+    c*log2(c).  The work is the ta*tb coefficient products of the operands'
+    term counts, times 1 + bits/256, times the Leibniz terms of one term
+    product, prod(1 + m_i)."""
+    ca, cb = _coefficients(a), _coefficients(b)
+    if not ca or not cb:
         return None
-    bits = sum(max(c.numerator.bit_length() + c.denominator.bit_length()
-                   for _, c in _terms(v)) for v in (a, b))
+    bits = (max(c.numerator.bit_length() + c.denominator.bit_length()
+                for c in ca) +
+            max(c.numerator.bit_length() + c.denominator.bit_length()
+                for c in cb) - 4)
     terms = 1
     if leibniz:
         dmax = [max(col) for col in zip(*a.terms)]
@@ -202,7 +198,10 @@ def _product_refusal(a, b, pairs, leibniz):
         c = sum(mins)
         bits += c * log2(c) if c > 1 else 0
         terms = prod(1 + m for m in mins)
-    work = pairs * (1 + bits / 256) * terms
+    if bits > MAX_POWER_BITS:
+        return (f"product too large: about {bits:.3g} bits per coefficient, "
+                f"the limit is {MAX_POWER_BITS}")
+    work = len(ca) * len(cb) * (1 + bits / 256) * terms
     if work > MAX_POWER_WORK:
         return (f"product too large: estimated work {work:.3g}, the limit "
                 f"is {MAX_POWER_WORK}")

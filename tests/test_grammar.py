@@ -254,22 +254,31 @@ def test_powers_within_the_limits_parse(text, n):
         assert op == oracle(True)(f"{base}^{k}", n)
 
 
-# each estimate is past the work limit: the coefficient pairs for the sums,
-# the Leibniz terms for the Weyl products.  The last entry is a factor that
-# is parsed before the product is refused: (x+y+z+1)^20 and (x+1)^400 are
-# powers within the limits that take 0.25-0.4 s each on a shared 2-CPU
-# machine, so for those texts the 1 s bound counts only the time past
-# parsing the two factors of the refused product.
+# (text, n, (line, column) of the refused "*", the limit it passes, a
+# factor parsed before the refusal).  Work: the coefficient pairs for the
+# sums, the Leibniz terms for the Weyl products.  Bits: the coefficient
+# lengths of the two operands add up, so a chain of powers within the bits
+# limit is refused at its first "*" past it.  (x+y+z+1)^20 and (x+1)^400
+# are powers within the limits that take 0.25-0.4 s each on a shared 2-CPU
+# machine, so for those two texts the 1 s bound counts only the time past
+# parsing the two factors of the refused product; every other text is held
+# to 1 s in all.
+WORK, BITS = grammar.MAX_POWER_WORK, grammar.MAX_POWER_BITS
 OVERSIZED_PRODUCTS = [
-    ("(x+y+z+1)^20*(x+y+z+1)^20", 3, (1, 13), "(x+y+z+1)^20"),
-    ("(x+1)^400*(x+1)^400*(x+1)^400", 1, (1, 10), "(x+1)^400"),
-    ("dx^1000000000*x^1000000000", 1, (1, 14), None),
-    ("1 +\n dx^3000*x^3000", 1, (2, 9), None),
+    ("(x+y+z+1)^20*(x+y+z+1)^20", 3, (1, 13), WORK, "(x+y+z+1)^20"),
+    ("(x+1)^400*(x+1)^400*(x+1)^400", 1, (1, 10), WORK, "(x+1)^400"),
+    ("(x+y+z+w+1)^10*(x+y+z+w+1)^10", 4, (1, 15), WORK, None),
+    ("dx^1000000000*x^1000000000", 1, (1, 14), BITS, None),
+    ("1 +\n dx^3000*x^3000", 1, (2, 9), WORK, None),
+    ("3^600000*3^600000*3^600000", 1, (1, 9), BITS, None),
+    ("*".join(["3^600000"] * 6), 1, (1, 9), BITS, None),
+    ("x*2^600000*(x+1)*2^600000", 1, (1, 17), BITS, None),
 ]
 
 
-@pytest.mark.parametrize("text, n, where, factor", OVERSIZED_PRODUCTS)
-def test_oversized_products_are_refused_at_once(text, n, where, factor):
+@pytest.mark.parametrize("text, n, where, limit, factor", OVERSIZED_PRODUCTS)
+def test_oversized_products_are_refused_at_once(text, n, where, limit,
+                                                factor):
     def factors_time(parse):
         if factor is None:
             return 0
@@ -285,7 +294,7 @@ def test_oversized_products_are_refused_at_once(text, n, where, factor):
         with pytest.raises(ParseError, match="product too large") as err:
             parse(text, n)
         assert time.perf_counter() - start < allowed
-        assert f"the limit is {grammar.MAX_POWER_WORK}" in str(err.value)
+        assert f"the limit is {limit}" in str(err.value)
         assert (err.value.line, err.value.col) == where
     argv = (["v0-member", "-f", "x", "-P", text, "-k", "0"] if "d" in text
             else ["euler", text])
@@ -309,23 +318,6 @@ def test_products_within_the_limit_parse(text, n):
         assert parse_polynomial(text, n) == op.terms[(0,) * n]
     else:
         assert op == oracle(True)(text, n)
-
-
-def test_small_products_are_not_weighed(monkeypatch):
-    """A commuting product of few coefficient pairs passes on its term
-    counts alone; a Weyl composition is always weighed."""
-    weighed = []
-    real = grammar._terms
-
-    def spy(value):
-        weighed.append(value)
-        return real(value)
-
-    monkeypatch.setattr(grammar, "_terms", spy)
-    parse_operator("2*x*y*(x + y)*(3*x - y)*dx*dy + x^2*y*(x + 1)", 2)
-    assert weighed == []
-    parse_operator("dx*x", 1)
-    assert len(weighed) == 2
 
 
 # digits past the interpreter's default limit on int/str conversion (4300)
