@@ -135,8 +135,13 @@ def cmd_v0_basis(args):
         "input": {"f": format_polynomial(f), "d": args.d, "w": args.w,
                   "nvars": n, "compare": bool(args.compare)},
     }
-    weights = ([args.w] if args.w is not None
-               else list(vfilt_mod.default_weight_range(f, args.d)))
+    if args.w is None:
+        weights = vfilt_mod.default_weight_range(f, args.d)
+        # a heuristic range, not a proven bound: label it in the output
+        out["weight_range"] = {"from": weights.start, "to": weights.stop - 1,
+                               "heuristic": True}
+    else:
+        weights = [args.w]
     # one Der(log f) for the whole scan; an invalid divisor is reported by
     # default_weight_range, or with -w by the piece
     dm = (logder_mod.log_derivations(f) if args.compare and

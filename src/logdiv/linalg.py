@@ -18,6 +18,10 @@ still fails after the last prime of ``PRIMES``, fraction-free integer
 elimination (content stripped as it grows) computes the answer instead.
 That exact path also takes matrices of fewer than ``MODULAR_MIN_CELLS``
 entries, where it is the faster of the two.
+
+``span_is_kernel`` proves ker A = span V from the same two parts, a
+forward elimination modulo one prime and the exact product on packed
+columns, without computing either rref.
 """
 
 from __future__ import annotations
@@ -168,16 +172,26 @@ def _reduce(x, ncols, p):
     return _pack([s % p for s in _unpack(x, ncols)])
 
 
-def _echelon_mod(rows, ncols, p):
-    """Reduced row echelon form of integer rows modulo p.
+def _limit(p):
+    """Row updates a 64-bit slot absorbs between reductions mod p."""
+    return ((1 << _SLOT) - p) // (p - 1) ** 2
 
-    Returns (pivots, leads, used): the pivot columns in increasing order,
-    the matching rows of the form as slot arrays, and the indices of the
-    input rows that became pivot rows (a basis of the row space mod p).
+
+def _forward_mod(rows, ncols, p):
+    """Forward elimination of integer rows modulo p, stopping as soon as
+    the leads fill all ncols columns.
+
+    Returns (leads, cols, used): packed leads, each scaled to 1 at its
+    first nonzero column and zero at the columns of the leads before it,
+    those columns, and the indices of the input rows that became leads.
+    So len(leads) is the rank modulo p, and the cols are the pivot columns
+    of the reduced row echelon form.
     """
-    limit = ((1 << _SLOT) - p) // (p - 1) ** 2
+    limit = _limit(p)
     leads, shifts, cols, used = [], [], [], []
     for idx, row in enumerate(rows):
+        if len(leads) == ncols:
+            break
         x = _pack([c % p for c in row])
         k = 0
         # leads are stored reduced, so each update adds below p**2 a slot
@@ -198,8 +212,18 @@ def _echelon_mod(rows, ncols, p):
         shifts.append(_SLOT * col)
         cols.append(col)
         used.append(idx)
-        if len(leads) == ncols:
-            break
+    return leads, cols, used
+
+
+def _echelon_mod(rows, ncols, p):
+    """Reduced row echelon form of integer rows modulo p.
+
+    Returns (pivots, leads, used): the pivot columns in increasing order,
+    the matching rows of the form as slot arrays, and the indices of the
+    input rows that became pivot rows (a basis of the row space mod p).
+    """
+    leads, cols, used = _forward_mod(rows, ncols, p)
+    limit = _limit(p)
     # Back-substitute, newest lead first.  Each later lead is already zero
     # at every other pivot column, so one read of a row gives all of its
     # coefficients.
@@ -289,34 +313,39 @@ def _pack_columns(rows, width, fits64):
             for col in cols]
 
 
+def _annihilates(rows, vectors):
+    """True iff every integer row annihilates every integer vector, checked
+    exactly on packed columns.  A vector is a list of (column, coefficient)
+    pairs, its nonzero entries."""
+    if not rows or not vectors:
+        return True
+    # each product entry is below l1 * kmax in absolute value; signed slots
+    # of ``width`` bits hold it, so a packed sum is zero iff every entry is
+    l1 = max(sum(map(abs, row)) for row in rows)
+    kmax = max((abs(c) for vec in vectors for _, c in vec), default=0)
+    width = -(-(l1.bit_length() + kmax.bit_length() + 1) // _SLOT) * _SLOT
+    packed = _pack_columns(rows, width, l1.bit_length() < _SLOT)
+    for vec in vectors:
+        acc = 0
+        for col, c in vec:
+            acc += c * packed[col]
+        if acc:
+            return False
+    return True
+
+
 def _certified(rows, red, pivots, free):
     """True iff every kernel vector of the candidate ``red`` is annihilated
-    by every integer row, checked exactly on packed columns."""
-    if not free:
-        return True
-    checks = []
-    kmax = 1
+    by every integer row."""
+    vectors = []
     for f in free:
         entries = [(pivots[i], row[f]) for i, row in enumerate(red) if row[f]]
         d = 1
         for _, c in entries:
             d = lcm(d, c.denominator)
-        coeffs = [(col, c.numerator * (d // c.denominator))
-                  for col, c in entries]
-        kmax = max(kmax, d, *(abs(c) for _, c in coeffs))
-        checks.append((f, d, coeffs))
-    # each product entry is below l1 * kmax in absolute value; signed slots
-    # of ``width`` bits hold it, so a packed sum is zero iff every entry is
-    l1 = max(sum(map(abs, row)) for row in rows)
-    width = -(-(l1.bit_length() + kmax.bit_length() + 1) // _SLOT) * _SLOT
-    packed = _pack_columns(rows, width, l1.bit_length() < _SLOT)
-    for f, d, coeffs in checks:
-        acc = d * packed[f]
-        for col, c in coeffs:
-            acc -= c * packed[col]
-        if acc:
-            return False
-    return True
+        vectors.append([(f, d)] + [(col, -c.numerator * (d // c.denominator))
+                                   for col, c in entries])
+    return _annihilates(rows, vectors)
 
 
 def _rref_modular(rows, ncols):
@@ -409,3 +438,28 @@ def kernel_basis(rows, ncols):
                 v[col] = -row[f]
         basis.append(v)
     return basis
+
+
+def span_is_kernel(rows, vectors, ncols):
+    """dim span(vectors) when one prime proves ker(rows) = span(vectors)
+    over Q, else None, which proves nothing either way.  The rows are
+    integer rows; the vectors may have Fraction entries.
+
+    Modulo p = PRIMES[0], let P be the pivot columns of the vectors and F
+    the other columns.  If the rows restricted to F have rank |F| mod p,
+    they have rank at least |F| over Q, so dim ker(rows) <= |P|.  The
+    vectors have rank at least |P| over Q, so ker(rows) = span(vectors),
+    of dimension |P|, as soon as the rows annihilate every vector: one
+    exact product over Z.  The elimination on F stops at rank |F|.
+    """
+    p = PRIMES[0]
+    vectors = _to_int_rows(vectors)
+    _, cols, _ = _forward_mod(vectors, ncols, p)
+    pivset = set(cols)
+    free = [c for c in range(ncols) if c not in pivset]
+    leads, _, _ = _forward_mod(([row[c] for c in free] for row in rows),
+                               len(free), p)
+    if len(leads) < len(free) or not _annihilates(
+            rows, [[(c, x) for c, x in enumerate(v) if x] for v in vectors]):
+        return None
+    return len(cols)

@@ -9,7 +9,8 @@ keys so that terms can be heapified and compared cheaply.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from math import perm
+from operator import add, sub
 
 Mono = tuple
 
@@ -390,14 +391,22 @@ class Polynomial:
         return Polynomial(self.nvars, res, _clean=False)
 
     def partial(self, beta):
-        """Apply the monomial differential operator d^beta."""
-        p = self
-        for i, k in enumerate(beta):
-            for _ in range(k):
-                if p.is_zero():
-                    return p
-                p = p.deriv(i)
-        return p
+        """Apply the monomial differential operator d^beta (a tuple of
+        nvars exponents): d^beta x^m = prod_i m_i!/(m_i - beta_i)! x^(m - beta)
+        on each term at once, and 0 on a term with some m_i < beta_i."""
+        if not any(beta):
+            return self
+        res = {}
+        for m, c in self.terms.items():
+            k = 1
+            for e, b in zip(m, beta):
+                if e < b:
+                    break
+                if b:
+                    k *= perm(e, b)
+            else:
+                res[tuple(map(sub, m, beta))] = c * k
+        return Polynomial(self.nvars, res, _clean=False)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,16 @@ P(x^alpha f^l) in O * f^(l-k) over |alpha| + l <= order(P); conditions with
 l - k <= 0 hold automatically and contribute nothing.  Graded bases exist
 for homogeneous f only, where each (order, weight) piece is a
 finite-dimensional exact linear algebra problem.
+
+A piece of V_0 is the kernel of integer condition rows A, and the piece
+generated by logarithmic vector fields is the span of word vectors G that
+lie in it.  ``compare_v0`` proves them equal without an rref: modulo one
+prime p, let P be the pivot columns of G and F the others.  If A restricted
+to F has rank |F| mod p, it has rank |F| over Q (a minor nonzero mod p is
+nonzero), so dim ker A <= |P| <= rank G; one exact product A G = 0 over Z
+then gives span G = ker A.  Any other outcome is decided by the canonical
+bases of both pieces, so a certified piece reports what the exact
+comparison would.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from math import gcd, lcm
 from . import linalg
 from .groebner import ideal_gb, ideal_member, local_membership_at_origin
 from .logder import DerivationModule, InvalidDivisor, log_derivations
-from .poly import DEGREVLEX, Polynomial, mono_deg, monomials_of_degree
+from .poly import DEGREVLEX, Polynomial, mono_deg, mono_mul, monomials_of_degree
 from .weyl import WeylOperator, compose
 
 
@@ -251,9 +261,18 @@ def _require_homogeneous(f):
         raise NonHomogeneousError("graded bases need a homogeneous divisor")
 
 
-def _condition_kernel(f, coords, d, k):
-    """Kernel of the stacked conditions P(x^alpha f^l) in f^p * O, p = l - k,
-    over the coordinate columns, for the (alpha, l) of ``_conditions``.
+def _piece_coords(f, d, w):
+    """The coordinates of the (d, w) piece of a homogeneous divisor."""
+    _require_homogeneous(f)
+    if d < 0:
+        raise ValueError("order bound must be nonnegative")
+    return OperatorCoordinates(f.nvars, d, w)
+
+
+def _condition_rows(f, coords, d, k):
+    """Integer rows whose kernel is the (d, w) piece of V_k: the stacked
+    conditions P(x^alpha f^l) in f^p * O, p = l - k, for the (alpha, l) of
+    ``_conditions``, over the coordinate columns in reverse order.
 
     A condition contributes one row per target monomial of degree
     t = |alpha| + l*deg f + w: the images of the coordinate columns reduced
@@ -264,12 +283,7 @@ def _condition_kernel(f, coords, d, k):
     max(t, |alpha| + l*deg f), so the target of mono * d^beta-term is one
     int add.  The reduction runs in integers.  Each condition's rows are
     scaled as a whole by the common denominator of the block's rref and of
-    the images; scaling rows leaves the kernel alone.
-
-    Returns the rref of the kernel and its pivots from one elimination.
-    With the columns reversed, the kernel vector of free column c, read in
-    the original order, has its 1 at c, other entries only at pivot columns
-    right of c, and zeros at the other free columns: an rref."""
+    the images; scaling rows leaves the kernel alone."""
     n, e, w = f.nvars, f.degree(), coords.w
     conds = [(alpha, l, mono_deg(alpha) + l * e + w)
              for alpha, l in _conditions(n, d, k)]
@@ -341,7 +355,16 @@ def _condition_kernel(f, coords, d, k):
                         res[pos] -= c * s
                 residuals.append(res)
         rows.extend(row for row in zip(*reversed(residuals)) if any(row))
-    kernel = [v[::-1] for v in linalg.kernel_basis(rows, len(coords))[::-1]]
+    return rows
+
+
+def _condition_kernel(rows, ncols):
+    """The rref of the piece cut out by ``_condition_rows`` and its pivots,
+    from one elimination.  With the columns reversed, the kernel vector of
+    free column c, read in the original order, has its 1 at c, other
+    entries only at pivot columns right of c, and zeros at the other free
+    columns: an rref."""
+    kernel = [v[::-1] for v in linalg.kernel_basis(rows, ncols)[::-1]]
     # entries left of a row's leading 1 are zero, so index finds the pivot
     return kernel, [v.index(1) for v in kernel]
 
@@ -355,10 +378,7 @@ def v0_graded_basis(f: Polynomial, d: int, w: int) -> GradedOperatorSpace:
 def vk_graded_basis(f: Polynomial, k: int, d: int, w: int) -> GradedOperatorSpace:
     """Graded piece of V_k: V_0 itself at k = 0, f^(-k) V_0 for k < 0 and
     f^(-k) (V_0 intersect f^k D) for k > 0."""
-    _require_homogeneous(f)
-    if d < 0:
-        raise ValueError("order bound must be nonnegative")
-    coords = OperatorCoordinates(f.nvars, d, w)
+    coords = _piece_coords(f, d, w)
     if k < 0:
         inner = vk_graded_basis(f, 0, d, w + k * f.degree()).basis
         # form f^(-k) only for a nonempty inner piece: it then fits the box
@@ -366,21 +386,19 @@ def vk_graded_basis(f: Polynomial, k: int, d: int, w: int) -> GradedOperatorSpac
         vectors = [coords.op_to_vec(op.left_mul(fk)) for op in inner]
         return GradedOperatorSpace(f, d, w, coords,
                                    *linalg.rref(vectors, len(coords)))
+    rows = _condition_rows(f, coords, d, k)
     return GradedOperatorSpace(f, d, w, coords,
-                               *_condition_kernel(f, coords, d, k))
+                               *_condition_kernel(rows, len(coords)))
 
 
 # ---------------------------------------------------------------------------
 # the vector-field generated subalgebra
 # ---------------------------------------------------------------------------
 
-def logder_generated_graded(f: Polynomial, d: int, w: int,
-                            dm: DerivationModule | None = None) -> GradedOperatorSpace:
-    """Weight-w, order <= d piece of O[Der(log f)]: spanned by
-    x^gamma * theta_{i_1} ... theta_{i_r} with r <= d.  Sorted words suffice
-    because reordering only creates shorter words with polynomial
-    coefficients, which the span already contains."""
-    _require_homogeneous(f)
+def _generated_vectors(f, coords, d, dm):
+    """Coordinate vectors of x^gamma * theta_{i_1} ... theta_{i_r}, r <= d,
+    sorted words in the minimal generators of Der(log f) (``dm`` or
+    computed), that land in the box of ``coords``."""
     n = f.nvars
     if dm is None:
         dm = log_derivations(f)
@@ -392,12 +410,10 @@ def logder_generated_graded(f: Polynomial, d: int, w: int,
     weights = dm.grading[1]
     if weights is None:
         raise ValueError("generator is not weight-homogeneous")
-    coords = OperatorCoordinates(n, d, w)
     vectors = []
     for r in range(d + 1):
         for word in combinations_with_replacement(range(len(fields)), r):
-            wt = sum(weights[i] for i in word)
-            gdeg = w - wt
+            gdeg = coords.w - sum(weights[i] for i in word)
             if gdeg < 0:
                 continue
             op = WeylOperator.constant(n, 1)
@@ -405,9 +421,27 @@ def logder_generated_graded(f: Polynomial, d: int, w: int,
                 op = compose(op, fields[i])
             if op.is_zero():
                 continue
+            # x^gamma * op shifts each coefficient monomial by gamma
+            terms = [(beta, mono, c.numerator if c.denominator == 1 else c)
+                     for beta, p in op.terms.items()
+                     for mono, c in p.terms.items()]
             for gamma in monomials_of_degree(n, gdeg):
-                shifted = op.left_mul(Polynomial.monomial(n, gamma))
-                vectors.append(coords.op_to_vec(shifted))
+                vec = [0] * len(coords)
+                for beta, mono, c in terms:
+                    vec[coords.index[beta, mono_mul(mono, gamma)]] = c
+                vectors.append(vec)
+    return vectors
+
+
+def logder_generated_graded(f: Polynomial, d: int, w: int,
+                            dm: DerivationModule | None = None) -> GradedOperatorSpace:
+    """Weight-w, order <= d piece of O[Der(log f)]: spanned by
+    x^gamma * theta_{i_1} ... theta_{i_r} with r <= d.  Sorted words suffice
+    because reordering only creates shorter words with polynomial
+    coefficients, which the span already contains."""
+    _require_homogeneous(f)
+    coords = OperatorCoordinates(f.nvars, d, w)
+    vectors = _generated_vectors(f, coords, d, dm)
     return GradedOperatorSpace(f, d, w, coords,
                                *linalg.rref(vectors, len(coords)))
 
@@ -427,9 +461,28 @@ def compare_v0(f: Polynomial, d: int, w: int,
     """Compare the (d, w) piece of V_0 against the piece generated by
     logarithmic vector fields; on strict inclusion returns a witness in V_0
     outside the generated subspace (first basis element, reduced against
-    the subspace and scaled to leading coefficient 1)."""
-    v0 = vk_graded_basis(f, 0, d, w)
-    gen = logder_generated_graded(f, d, w, dm)
+    the subspace and scaled to leading coefficient 1).
+
+    Equal pieces are proved equal by ``linalg.span_is_kernel`` on the
+    condition rows A and the generated vectors G, without an rref: modulo
+    one prime, A has full rank on the columns that are not pivots of G, so
+    dim ker A over Q is at most the rank of G, and the exact product
+    A G = 0 puts G in ker A.  Both dimensions are then the rank of G mod p,
+    which is what the exact comparison reports.  When that rank falls short
+    (a real gap, or an unlucky prime) or the product is not zero, the
+    canonical bases of both pieces are built and compared exactly; that
+    path gives the witness and the "escaped V_0" error."""
+    coords = _piece_coords(f, d, w)
+    rows = _condition_rows(f, coords, d, 0)
+    vectors = _generated_vectors(f, coords, d, dm)
+    # the condition rows run over the columns in reverse order
+    dim = linalg.span_is_kernel(rows, [v[::-1] for v in vectors], len(coords))
+    if dim is not None:
+        return V0Comparison(d, w, dim, dim, True, None)
+    v0 = GradedOperatorSpace(f, d, w, coords,
+                             *_condition_kernel(rows, len(coords)))
+    gen = GradedOperatorSpace(f, d, w, coords,
+                              *linalg.rref(vectors, len(coords)))
     for row in gen.rows:
         if any(linalg.residual(row, v0.rows, v0.pivots)):
             raise AssertionError(

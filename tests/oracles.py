@@ -11,6 +11,8 @@ condition rows of a graded piece come from the row builder the library
 used before its packed one (Fraction derivatives, one rref per condition),
 reduced Groebner bases come from a textbook Buchberger on Fraction term
 maps that treats every pair (no pair criteria, no packed terms),
+derivatives d^beta are |beta| successive ``Polynomial.deriv`` calls
+(``iterated_partial``) instead of the library's one-step ``partial``,
 and the operator parser is checked against the one the library used before
 it kept coefficients as polynomials (every value an operator, every
 product a Leibniz composition over all delta <= beta), with frozen copies
@@ -283,6 +285,14 @@ def span_membership(g: Polynomial, gens, bound: int) -> bool:
     return in_row_span(rows, poly_to_row(g, index), len(monos))
 
 
+def iterated_partial(g: Polynomial, beta) -> Polynomial:
+    """d^beta(g) by |beta| successive ``Polynomial.deriv`` calls."""
+    for i, k in enumerate(beta):
+        for _ in range(k):
+            g = g.deriv(i)
+    return g
+
+
 # ---------------------------------------------------------------------------
 # graded V-filtration piece by brute force
 # ---------------------------------------------------------------------------
@@ -322,7 +332,7 @@ def brute_v0_dimension(f: Polynomial, d: int, w: int, k: int = 0) -> int:
         fp = f ** (l - k)
         residues = []
         for beta, mono in unknowns:
-            val = g.partial(beta) * Polynomial.monomial(n, mono)
+            val = iterated_partial(g, beta) * Polynomial.monomial(n, mono)
             _, r = divmod_single(val, fp)
             residues.append(r)
         monos = sorted({m for r in residues for m in r.terms})
@@ -360,7 +370,7 @@ def condition_rows(f: Polynomial, cols, d: int, w: int, k: int):
                 dvals = {}
                 for beta, _ in cols:
                     if beta not in dvals:
-                        dvals[beta] = g.partial(beta).terms
+                        dvals[beta] = iterated_partial(g, beta).terms
                 scale = lcm(*(c.denominator for terms in dvals.values()
                               for c in terms.values()))
                 dvals = {beta: [(dm, c.numerator * (scale // c.denominator))
@@ -503,7 +513,7 @@ def leibniz_compose(P: WeylOperator, Q: WeylOperator) -> WeylOperator:
     for beta, p in P.terms.items():
         for gamma, q in Q.terms.items():
             for delta in below(beta):
-                dq = q.partial(delta)
+                dq = iterated_partial(q, delta)
                 c = 1
                 for b, d in zip(beta, delta):
                     c *= comb(b, d)

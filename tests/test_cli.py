@@ -145,6 +145,22 @@ def test_v0_basis_compare_builds_log_derivations_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("compare", [[], ["--compare"]])
+def test_v0_basis_scan_range_is_labelled_heuristic(compare):
+    f = "x*y*(x+y)"
+    data = invoke_json(["v0-basis", "-f", f, "-d", "2", *compare])
+    assert data["weight_range"] == {"from": -2, "to": 4, "heuristic": True}
+    assert [p["w"] for p in data["pieces"]] == list(range(-2, 5))
+    code, out, _ = invoke(["v0-basis", "-f", f, "-d", "2", *compare])
+    assert code == 0 and "weight_range.heuristic: true" in out.splitlines()
+    # a single piece asked for with -w scans nothing
+    data = invoke_json(["v0-basis", "-f", f, "-d", "2", "-w", "3", *compare])
+    assert "weight_range" not in data
+    code, out, _ = invoke(["v0-basis", "-f", f, "-d", "2", "-w", "3",
+                           *compare])
+    assert code == 0 and "weight_range" not in out
+
+
 def test_option_values_starting_with_minus():
     data = invoke_json(["v0-member", "-f", "x*y", "-P", "-x*dx"])
     assert data["input"]["P"] == "-x*dx"

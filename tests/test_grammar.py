@@ -5,12 +5,13 @@ import json
 import random
 import time
 from fractions import Fraction
+from math import comb, perm
 
 import pytest
 
 from logdiv import grammar, weyl
 from logdiv.grammar import ParseError, parse_operator, parse_polynomial
-from logdiv.poly import format_int, format_polynomial, parse_int
+from logdiv.poly import Polynomial, format_int, format_polynomial, parse_int
 from logdiv.weyl import WeylOperator, format_operator
 
 from oracles import ComposeEverythingParser, rand_op
@@ -303,6 +304,18 @@ def test_oversized_products_are_refused_at_once(text, n, where, limit,
     code, out, err = invoke(argv + ["-n", str(n)])
     assert code == 2 and out == "" and "product too large" in err
     assert time.perf_counter() - start < allowed
+
+
+def test_long_weyl_product_parses_within_two_seconds():
+    # d^n x^n = sum_j C(n, j) n!/(n - j)! x^(n - j) d^(n - j): 2,001 Leibniz
+    # terms with coefficients of up to about 19,000 bits
+    n = 2000
+    start = time.perf_counter()
+    op = parse_operator(f"dx^{n}*x^{n}", 1)
+    assert time.perf_counter() - start < 2
+    assert op.terms == {
+        (n - j,): Polynomial.monomial(1, (n - j,)) * (comb(n, j) * perm(n, j))
+        for j in range(n + 1)}
 
 
 @pytest.mark.parametrize("text, n", [

@@ -7,7 +7,7 @@ from logdiv.poly import (DEGREVLEX, LEX, BlockElim, Polynomial, divide_exact,
                          monomials_of_degree)
 from logdiv.grammar import ParseError, parse_polynomial
 
-from oracles import divmod_single, rand_poly, schoolbook_mul
+from oracles import divmod_single, iterated_partial, rand_poly, schoolbook_mul
 
 
 def P(s, n):
@@ -134,6 +134,17 @@ def test_pow_matches_repeated_mul():
     p = P("x - 2*y + 1", 2)
     assert p ** 3 == p * p * p
     assert p ** 0 == Polynomial.one(2)
+
+
+def test_partial_matches_iterated_deriv():
+    # beta runs past the degree, so some terms and some whole polynomials
+    # vanish; rand_poly gives Fraction coefficients
+    rng = random.Random(20)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        g = rand_poly(rng, n, 6, max_terms=6, zero_ok=True)
+        beta = tuple(rng.randint(0, 8) for _ in range(n))
+        assert g.partial(beta) == iterated_partial(g, beta), (g, beta)
 
 
 # -- orders -----------------------------------------------------------------
