@@ -28,7 +28,7 @@ from .groebner import gb_polys
 from .logder import InvalidDivisor
 from .poly import format_int, format_polynomial
 from .vfilt import NonHomogeneousError
-from .weyl import format_operator
+from .weyl import format_blocks, format_operator
 
 SCHEMA = "logdiv/1"
 
@@ -121,9 +121,13 @@ def cmd_v0_member(args):
 
 
 def _basis_payload(space):
+    # printed straight from the integer rows, as format_operator would
+    # print the basis operators row / row[pivot]
+    n, blocks = space.coords.nvars, space.coords.blocks
     return {
         "dim": space.dim,
-        "basis": [format_operator(op) for op in space.basis],
+        "basis": [format_blocks(blocks(row, row[p]), n)
+                  for row, p in zip(space.rows, space.pivots)],
     }
 
 

@@ -1,7 +1,11 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, in integers.
 
 Dense kernels and row reductions used by the graded-basis and torsion
-computations.
+computations.  Input rows may hold Fractions; every output is integer.  A
+row of the reduced row echelon form is kept as its primitive integer
+multiple with a positive pivot entry, so ``row / row[pivot]`` is the
+rational row, and a kernel vector is primitive with a positive entry at its
+free column: both are canonical, and no Fraction is formed.
 
 ``rref`` clears denominators row by row and eliminates modulo word-size
 primes: Gauss-Jordan on packed rows (one Python int per row, one 64-bit
@@ -29,6 +33,7 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt, lcm
 
 # The largest primes below 2**28: a product of two reduced entries stays
@@ -44,8 +49,6 @@ MODULAR_MIN_CELLS = 400
 _SLOT = 64
 _MASK = (1 << _SLOT) - 1
 _SWAP = sys.byteorder == "big"
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _to_int_rows(rows):
@@ -63,6 +66,14 @@ def _to_int_rows(rows):
         out.append([c.numerator * (den // c.denominator)
                     if type(c) is Fraction else c * den for c in row])
     return out
+
+
+def _primitive(row, pivot):
+    """row divided by its content, signed to be positive at ``pivot``."""
+    g = gcd(*row)
+    if row[pivot] < 0:
+        g = -g
+    return row if g == 1 else [c // g for c in row]
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +146,7 @@ def _rref_exact(rows, ncols):
             for c2 in range(ncols):
                 row[c2] = a * row[c2] - b * lead[c2]
             _strip_row(row)
-    out = []
-    for i, col in enumerate(pivots):
-        p = work[i][col]
-        out.append([Fraction(c, p) for c in work[i]])
-    return out, pivots
+    return [_primitive(work[i], col) for i, col in enumerate(pivots)], pivots
 
 
 # ---------------------------------------------------------------------------
@@ -262,16 +269,16 @@ def _ratrec(u, m, bound):
 
 
 def _reconstruct(residues, m, pivots, free, ncols):
-    """Rational rref rows from their free-column residues mod m, or None.
+    """Integer rref rows from their free-column residues mod m, or None.
 
     Entries of one row share denominators, so each residue is first scaled
     by the denominator found so far in its row; most then come out as
-    integers without a reconstruction."""
+    integers without a reconstruction.  The row is then cleared to its last
+    denominator, which stands at the pivot, and made primitive."""
     bound = isqrt(m // 2)
     out = []
     for piv, res in zip(pivots, residues):
-        row = [_ZERO] * ncols
-        row[piv] = _ONE
+        entries = []   # (column, numerator, denominator at that point)
         den = 1
         for f, a in zip(free, res):
             if not a:
@@ -286,8 +293,12 @@ def _reconstruct(residues, m, pivots, free, ncols):
                         return None
                     u, d = rec
                     den *= d
-            row[f] = Fraction(u, den) if den > 1 else Fraction(u)
-        out.append(row)
+            entries.append((f, u, den))
+        row = [0] * ncols
+        row[piv] = den
+        for f, u, d in entries:
+            row[f] = u * (den // d)
+        out.append(_primitive(row, piv))
     return out
 
 
@@ -334,18 +345,29 @@ def _annihilates(rows, vectors):
     return True
 
 
+def _kernel_vectors(red, pivots, free):
+    """Yields, per free column f, the primitive kernel vector of the integer
+    rref rows ``red`` with a positive entry at f, as (column, coefficient)
+    pairs.
+
+    The rational vector is 1 at f and -c_i / h_i at pivot i, c_i the
+    row's entry at f and h_i its pivot entry; the lcm of the reduced
+    denominators clears it to a primitive vector."""
+    heads = [row[col] for row, col in zip(red, pivots)]
+    columns = list(zip(*red))
+    for f in free:
+        column = columns[f] if red else ()
+        entries = [(pivots[i], column[i] // g, heads[i] // g)
+                   for i in compress(range(len(column)), column)
+                   for g in (gcd(column[i], heads[i]),)]
+        d = lcm(*(h for _, _, h in entries))
+        yield [(f, d)] + [(col, -c * (d // h)) for col, c, h in entries]
+
+
 def _certified(rows, red, pivots, free):
     """True iff every kernel vector of the candidate ``red`` is annihilated
     by every integer row."""
-    vectors = []
-    for f in free:
-        entries = [(pivots[i], row[f]) for i, row in enumerate(red) if row[f]]
-        d = 1
-        for _, c in entries:
-            d = lcm(d, c.denominator)
-        vectors.append([(f, d)] + [(col, -c.numerator * (d // c.denominator))
-                                   for col, c in entries])
-    return _annihilates(rows, vectors)
+    return _annihilates(rows, list(_kernel_vectors(red, pivots, free)))
 
 
 def _rref_modular(rows, ncols):
@@ -390,10 +412,12 @@ def _rref_modular(rows, ncols):
 # ---------------------------------------------------------------------------
 
 def rref(rows, ncols):
-    """Canonical reduced row echelon form over the rationals.
+    """Canonical reduced row echelon form over the rationals, in integers.
 
-    Returns (rref_rows, pivots) where each row is a list of Fractions with a
-    leading 1 at its pivot column and zeros above and below every pivot.
+    Returns (rref_rows, pivots): each row is the primitive integer multiple
+    of the rational rref row with a positive entry at its pivot column, so
+    it is zero at every other pivot column and ``row / row[pivot]`` is the
+    rational row.  Rows may hold ints or Fractions.
     """
     work = _to_int_rows(rows)
     if not work:
@@ -406,44 +430,49 @@ def rref(rows, ncols):
 
 
 def residual(vec, rref_rows, pivots):
-    """Reduce a vector against canonical rref rows; zero iff it lies in
-    their row space."""
-    v = [c if type(c) is Fraction else Fraction(c) if c else _ZERO
-         for c in vec]
-    for row, col in zip(rref_rows, pivots):
-        c = v[col]
-        if c:
-            for j, r in enumerate(row):
-                if r:
-                    v[j] -= c * r
-    return v
+    """Reduce a vector against integer rref rows without fractions; zero
+    iff it lies in their row space.
+
+    The rational residual is vec - sum (vec[p_i] / h_i) row_i, h_i the pivot
+    entry of row i at column p_i: a row is zero at the other pivots, so no
+    reduction changes another's coefficient.  Scaled by the lcm of the
+    reduced denominators of those coefficients it is integer, and that
+    positive multiple is returned.  ``vec`` may hold Fractions."""
+    v = _to_int_rows([vec])[0]
+    coeffs = [(v[col], row[col], row) for row, col in zip(rref_rows, pivots)
+              if v[col]]
+    scale = lcm(*(h // gcd(c, h) for c, h, _ in coeffs))
+    out = [scale * x for x in v]
+    for c, h, row in coeffs:
+        k = scale * c // h
+        out = [x - k * r for x, r in zip(out, row)]
+    return out
 
 
 def kernel_basis(rows, ncols):
-    """Canonical basis of the right kernel {x : A x = 0}.
+    """Canonical basis of the right kernel {x : A x = 0}, in integers.
 
-    One basis vector per free column f: entry 1 at f, minus the rref entry
-    at each pivot column.  A zero-row matrix yields the standard basis.
+    One basis vector per free column f, in increasing order: the primitive
+    integer vector with a positive entry at f and its other entries at pivot
+    columns, a multiple of (1 at f, minus the rational rref entry at each
+    pivot column).  A zero-row matrix yields the standard basis.
     """
     red, pivots = rref(rows, ncols)
     pivset = set(pivots)
     basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [_ZERO] * ncols
-        v[f] = _ONE
-        for row, col in zip(red, pivots):
-            if row[f]:
-                v[col] = -row[f]
+    for vec in _kernel_vectors(red, pivots,
+                               [f for f in range(ncols) if f not in pivset]):
+        v = [0] * ncols
+        for col, c in vec:
+            v[col] = c
         basis.append(v)
     return basis
 
 
 def span_is_kernel(rows, vectors, ncols):
     """dim span(vectors) when one prime proves ker(rows) = span(vectors)
-    over Q, else None, which proves nothing either way.  The rows are
-    integer rows; the vectors may have Fraction entries.
+    over Q, else None, which proves nothing either way.  The rows and the
+    vectors are integer.
 
     Modulo p = PRIMES[0], let P be the pivot columns of the vectors and F
     the other columns.  If the rows restricted to F have rank |F| mod p,
@@ -453,7 +482,6 @@ def span_is_kernel(rows, vectors, ncols):
     exact product over Z.  The elimination on F stops at rank |F|.
     """
     p = PRIMES[0]
-    vectors = _to_int_rows(vectors)
     _, cols, _ = _forward_mod(vectors, ncols, p)
     pivset = set(cols)
     free = [c for c in range(ncols) if c not in pivset]

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
 
 from . import linalg
 from .groebner import (FreeModuleVector, buchberger, graded_ranking,
@@ -53,19 +52,16 @@ def quasi_weights(f: Polynomial):
     basis = linalg.kernel_basis(rows, len(present))
     if len(basis) != 1:
         return None
+    # a primitive integer vector: up to sign, the weights themselves
     v = basis[0]
-    if any(c == 0 for c in v):
+    if 0 in v:
         return None
     if v[0] < 0:
         v = [-c for c in v]
     if any(c < 0 for c in v):
         return None
-    den = lcm(*(c.denominator for c in v))
-    ints = [int(c * den) for c in v]
-    g = gcd(*ints)
-    ints = [c // g for c in ints]
     w = [1] * n
-    for i, wi in zip(present, ints):
+    for i, wi in zip(present, v):
         w[i] = wi
     return tuple(w)
 

@@ -460,18 +460,6 @@ def parse_int(digits: str) -> int:
     return parse_int(digits[:-half]) * 10 ** half + parse_int(digits[-half:])
 
 
-def _format_number(c) -> str:
-    """An int or Fraction as ``str`` writes it, ``num/den`` if not
-    integral, with ``format_int`` digits."""
-    try:
-        return str(c)
-    except ValueError:
-        num = format_int(c.numerator)
-        if c.denominator == 1:
-            return num
-        return f"{num}/{format_int(c.denominator)}"
-
-
 def var_name(i: int, nvars: int) -> str:
     if nvars <= 4:
         return _ALIAS[i]
@@ -481,23 +469,31 @@ def var_name(i: int, nvars: int) -> str:
 def format_polynomial(p: Polynomial, order: TermOrder = DEGREVLEX) -> str:
     if p.is_zero():
         return "0"
+    return format_terms(p.sorted_terms(order), p.nvars)
+
+
+def format_terms(terms, nvars: int) -> str:
+    """Nonzero (monomial, coefficient) pairs in print order, written as
+    ``format_polynomial`` writes the polynomial they form.  A coefficient
+    is an int or a Fraction, written as ``str`` writes it, ``num/den`` if
+    not integral, with ``format_int`` digits."""
+    names = [var_name(i, nvars) for i in range(nvars)]
     bits = []
-    for m, c in p.sorted_terms(order):
-        factors = []
-        for i, e in enumerate(m):
-            if e == 0:
-                continue
-            v = var_name(i, p.nvars)
-            factors.append(v if e == 1 else f"{v}^{format_int(e)}")
-        mag = abs(c)
+    for m, c in terms:
+        factors = [v if e == 1 else f"{v}^{format_int(e)}"
+                   for v, e in zip(names, m) if e]
+        num, den = c.numerator, c.denominator
+        mag = format_int(abs(num))
+        if den != 1:
+            mag = f"{mag}/{format_int(den)}"
         if not factors:
-            body = _format_number(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = "*".join(factors)
         else:
-            body = "*".join([_format_number(mag)] + factors)
+            body = "*".join([mag] + factors)
         if not bits:
-            bits.append(body if c > 0 else "-" + body)
+            bits.append(body if num > 0 else "-" + body)
         else:
-            bits.append((" + " if c > 0 else " - ") + body)
+            bits.append((" + " if num > 0 else " - ") + body)
     return "".join(bits)

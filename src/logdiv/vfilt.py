@@ -18,13 +18,20 @@ nonzero), so dim ker A <= |P| <= rank G; one exact product A G = 0 over Z
 then gives span G = ker A.  Any other outcome is decided by the canonical
 bases of both pieces, so a certified piece reports what the exact
 comparison would.
+
+Pieces stay in integers end to end: a piece is the canonical rref in
+``linalg``'s integer form (primitive rows, positive at their pivots), and
+its rows are reduced, multiplied by f^(-k) and printed without a Fraction
+row.  Fractions appear only in the basis operators, row / row[pivot], and
+in a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress
 from math import gcd, lcm
 
 from . import linalg
@@ -219,18 +226,32 @@ class OperatorCoordinates:
                 vec[pos] = c.numerator if c.denominator == 1 else c
         return vec
 
-    def vec_to_op(self, vec) -> WeylOperator:
-        terms = {}
-        for (beta, mono), c in zip(self.cols, vec):
-            if c:
-                terms.setdefault(beta, {})[mono] = c
-        return WeylOperator(self.nvars,
-                            {b: Polynomial(self.nvars, t) for b, t in terms.items()})
+    def blocks(self, vec, den):
+        """The terms of vec / den, a Fraction at each nonzero entry, as
+        ``weyl.format_blocks`` takes them: one (beta, [(monomial,
+        coefficient), ...]) block per derivative.  The columns run in the
+        printer's term order, so the blocks need no sort."""
+        cols, out = self.cols, []
+        for j in compress(range(len(vec)), vec):
+            beta, mono = cols[j]
+            if not out or out[-1][0] != beta:
+                out.append((beta, []))
+            out[-1][1].append((mono, Fraction(vec[j], den)))
+        return out
+
+    def vec_to_op(self, vec, den) -> WeylOperator:
+        """The operator of vec / den."""
+        n = self.nvars
+        return WeylOperator(n, {
+            beta: Polynomial(n, dict(terms), _clean=False)
+            for beta, terms in self.blocks(vec, den)}, _clean=False)
 
 
 @dataclass
 class GradedOperatorSpace:
-    """A (d, w) piece, held as the canonical rref of its coordinate vectors."""
+    """A (d, w) piece, held as the canonical rref of its coordinate vectors
+    in ``linalg``'s integer form: primitive rows, positive at their pivots.
+    Basis operators are row / row[pivot]."""
     divisor: Polynomial
     order_bound: int
     weight: int
@@ -244,7 +265,8 @@ class GradedOperatorSpace:
 
     @cached_property
     def basis(self):
-        return [self.coords.vec_to_op(row) for row in self.rows]
+        return [self.coords.vec_to_op(row, row[p])
+                for row, p in zip(self.rows, self.pivots)]
 
     def contains(self, op: WeylOperator) -> bool:
         vec = self.coords.op_to_vec(op)
@@ -282,8 +304,9 @@ def _condition_rows(f, coords, d, k):
     ``_DerivTable`` whose slots fit the largest degree of the call,
     max(t, |alpha| + l*deg f), so the target of mono * d^beta-term is one
     int add.  The reduction runs in integers.  Each condition's rows are
-    scaled as a whole by the common denominator of the block's rref and of
-    the images; scaling rows leaves the kernel alone."""
+    scaled as a whole by the common denominator of the block's rref (the
+    lcm of its integer rows' pivot entries) and of the images; scaling rows
+    leaves the kernel alone."""
     n, e, w = f.nvars, f.degree(), coords.w
     conds = [(alpha, l, mono_deg(alpha) + l * e + w)
              for alpha, l in _conditions(n, d, k)]
@@ -317,18 +340,24 @@ def _condition_rows(f, coords, d, k):
                 sub.append(vec)
         sred, spiv = linalg.rref(sub, len(tmonos)) if sub else ([], [])
         # At a pivot column the reduction coefficient is the image's own
-        # entry there, so the integer rows den * sred do the whole job.
-        den = lcm(*(c.denominator for row in sred for c in row))
+        # entry there, so the rows den * row / row[pivot] do the whole job.
+        # A primitive row's pivot entry is the lcm of its reduced
+        # denominators, so den is that of all of them.
+        den = lcm(*(row[q] for row, q in zip(sred, spiv)))
         pivot_of = {col: i for i, col in enumerate(spiv)}
         free = [q for q in range(len(tmonos)) if q not in pivot_of]
         row_of = {q: j for j, q in enumerate(free)}
         action = {}
         for q, m in enumerate(tmonos):
             i = pivot_of.get(q)
-            action[m] = ([(row_of[q], -den)] if i is None else
-                         [(row_of[pos], c.numerator * (den // c.denominator))
-                          for pos, c in enumerate(sred[i])
-                          if c and pos in row_of])
+            if i is None:
+                action[m] = [(row_of[q], -den)]
+                continue
+            row = sred[i]
+            scale = den // row[q]
+            action[m] = [(row_of[pos], row[pos] * scale)
+                         for pos in compress(range(len(row)), row)
+                         if pos in row_of]
         return len(free), action
 
     rows = []
@@ -361,12 +390,13 @@ def _condition_rows(f, coords, d, k):
 def _condition_kernel(rows, ncols):
     """The rref of the piece cut out by ``_condition_rows`` and its pivots,
     from one elimination.  With the columns reversed, the kernel vector of
-    free column c, read in the original order, has its 1 at c, other
-    entries only at pivot columns right of c, and zeros at the other free
-    columns: an rref."""
+    free column c, read in the original order, has its positive entry at c,
+    other entries only at pivot columns right of c, and zeros at the other
+    free columns: an rref in ``linalg``'s integer form, primitive and
+    positive at its pivot."""
     kernel = [v[::-1] for v in linalg.kernel_basis(rows, ncols)[::-1]]
-    # entries left of a row's leading 1 are zero, so index finds the pivot
-    return kernel, [v.index(1) for v in kernel]
+    # the free entry is a row's first nonzero one, so index finds the pivot
+    return kernel, [v.index(next(filter(None, v))) for v in kernel]
 
 
 def v0_graded_basis(f: Polynomial, d: int, w: int) -> GradedOperatorSpace:
@@ -380,10 +410,23 @@ def vk_graded_basis(f: Polynomial, k: int, d: int, w: int) -> GradedOperatorSpac
     f^(-k) (V_0 intersect f^k D) for k > 0."""
     coords = _piece_coords(f, d, w)
     if k < 0:
-        inner = vk_graded_basis(f, 0, d, w + k * f.degree()).basis
-        # form f^(-k) only for a nonempty inner piece: it then fits the box
-        fk = f ** (-k) if inner else None
-        vectors = [coords.op_to_vec(op.left_mul(fk)) for op in inner]
+        inner = vk_graded_basis(f, 0, d, w + k * f.degree())
+        vectors = []
+        if inner.rows:
+            # form f^(-k) only for a nonempty inner piece: it then fits the
+            # box; each row times an integer multiple of it is a vector
+            fk = f ** (-k)
+            fden = lcm(*(c.denominator for c in fk.terms.values()))
+            fint = [(m, c.numerator * (fden // c.denominator))
+                    for m, c in fk.terms.items()]
+            index = coords.index
+            for row in inner.rows:
+                vec = [0] * len(coords)
+                for j in compress(range(len(row)), row):
+                    beta, mono = inner.coords.cols[j]
+                    for m, c in fint:
+                        vec[index[beta, mono_mul(mono, m)]] += row[j] * c
+                vectors.append(vec)
         return GradedOperatorSpace(f, d, w, coords,
                                    *linalg.rref(vectors, len(coords)))
     rows = _condition_rows(f, coords, d, k)
@@ -410,19 +453,28 @@ def _generated_vectors(f, coords, d, dm):
     weights = dm.grading[1]
     if weights is None:
         raise ValueError("generator is not weight-homogeneous")
+    # each word is its prefix, one letter shorter, composed with one field
+    words = {(): WeylOperator.constant(n, 1)}
+
+    def word_op(word):
+        if word not in words:
+            words[word] = compose(word_op(word[:-1]), fields[word[-1]])
+        return words[word]
+
     vectors = []
     for r in range(d + 1):
         for word in combinations_with_replacement(range(len(fields)), r):
             gdeg = coords.w - sum(weights[i] for i in word)
             if gdeg < 0:
                 continue
-            op = WeylOperator.constant(n, 1)
-            for i in word:
-                op = compose(op, fields[i])
+            op = word_op(word)
             if op.is_zero():
                 continue
-            # x^gamma * op shifts each coefficient monomial by gamma
-            terms = [(beta, mono, c.numerator if c.denominator == 1 else c)
+            # x^gamma * op shifts each coefficient monomial by gamma; the
+            # word's integer multiple spans the same line
+            den = lcm(*(c.denominator for p in op.terms.values()
+                        for c in p.terms.values()))
+            terms = [(beta, mono, c.numerator * (den // c.denominator))
                      for beta, p in op.terms.items()
                      for mono, c in p.terms.items()]
             for gamma in monomials_of_degree(n, gdeg):
@@ -479,22 +531,21 @@ def compare_v0(f: Polynomial, d: int, w: int,
     dim = linalg.span_is_kernel(rows, [v[::-1] for v in vectors], len(coords))
     if dim is not None:
         return V0Comparison(d, w, dim, dim, True, None)
-    v0 = GradedOperatorSpace(f, d, w, coords,
-                             *_condition_kernel(rows, len(coords)))
-    gen = GradedOperatorSpace(f, d, w, coords,
-                              *linalg.rref(vectors, len(coords)))
-    for row in gen.rows:
-        if any(linalg.residual(row, v0.rows, v0.pivots)):
+    v0_rows, v0_pivots = _condition_kernel(rows, len(coords))
+    gen_rows, gen_pivots = linalg.rref(vectors, len(coords))
+    for row in gen_rows:
+        if any(linalg.residual(row, v0_rows, v0_pivots)):
             raise AssertionError(
                 "generated subalgebra escaped V_0: engine inconsistency")
-    if gen.dim == v0.dim:
-        return V0Comparison(d, w, v0.dim, gen.dim, True, None)
-    # gen is a proper subspace of v0, so some row of v0 is outside it
-    res = next(filter(any, (linalg.residual(row, gen.rows, gen.pivots)
-                            for row in v0.rows)))
-    lead = next(filter(None, res))
-    witness = v0.coords.vec_to_op([c / lead for c in res])
-    return V0Comparison(d, w, v0.dim, gen.dim, False, witness)
+    if len(gen_rows) == len(v0_rows):
+        return V0Comparison(d, w, len(v0_rows), len(gen_rows), True, None)
+    # gen is a proper subspace of v0, so some row of v0 is outside it; the
+    # residual is a positive multiple of the rational one, so dividing by
+    # its lead gives the same witness
+    res = next(filter(any, (linalg.residual(row, gen_rows, gen_pivots)
+                            for row in v0_rows)))
+    witness = coords.vec_to_op(res, next(filter(None, res)))
+    return V0Comparison(d, w, len(v0_rows), len(gen_rows), False, witness)
 
 
 def default_weight_range(f: Polynomial, d: int):

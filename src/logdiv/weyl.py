@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, inf
 
-from .poly import (DEGREVLEX, Polynomial, format_int, format_polynomial,
+from .poly import (DEGREVLEX, Polynomial, format_int, format_terms,
                    mono_deg, mono_mul, var_name)
 
 
@@ -278,18 +278,26 @@ def format_operator(P: WeylOperator) -> str:
     if P.is_zero():
         return "0"
     key = DEGREVLEX.key
+    return format_blocks([(b, P.terms[b].sorted_terms())
+                          for b in sorted(P.terms, key=key, reverse=True)],
+                         P.nvars)
+
+
+def format_blocks(blocks, nvars: int) -> str:
+    """A nonzero operator given as (beta, coefficient terms) blocks, the
+    betas and each block's (monomial, coefficient) pairs in print order,
+    written as ``format_operator`` writes it."""
     pieces = []  # (negative, body)
-    for b in sorted(P.terms, key=lambda b: key(b), reverse=True):
-        p = P.terms[b]
+    for b, terms in blocks:
         dfactors = []
         for i, e in enumerate(b):
             if e == 0:
                 continue
-            name = _d_name(i, P.nvars)
+            name = _d_name(i, nvars)
             dfactors.append(name if e == 1 else f"{name}^{format_int(e)}")
         ds = "*".join(dfactors)
-        coeff = format_polynomial(p)
-        if len(p.terms) > 1:
+        coeff = format_terms(terms, nvars)
+        if len(terms) > 1:
             body = f"({coeff})*{ds}" if ds else f"({coeff})"
             pieces.append((False, body))
             continue

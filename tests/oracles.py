@@ -351,11 +351,8 @@ def condition_rows(f: Polynomial, cols, d: int, w: int, k: int):
     V_k over the coordinate columns ``cols``, built the way the library
     built them before its packed builder: every d^beta(x^alpha f^l) by
     repeated ``Polynomial.deriv`` and one rref of the f^p multiples per
-    condition.  The rref is ``linalg.rref``, which ``test_linalg`` checks
-    against the plain elimination above; the Fraction oracle is too slow
-    for these blocks."""
-    from logdiv import linalg
-
+    condition.  The rref is the plain Fraction elimination ``gauss_rref``
+    above, so the oracle shares no elimination with the code it checks."""
     n = f.nvars
     e = f.degree()
     rows = []
@@ -387,7 +384,7 @@ def condition_rows(f: Polynomial, cols, d: int, w: int, k: int):
                         for fm, c in fp.terms.items():
                             vec[tindex[tuple(x + y for x, y in zip(fm, m))]] = c
                         sub.append(vec)
-                sred, spiv = linalg.rref(sub, len(tmonos)) if sub else ([], [])
+                sred, spiv = gauss_rref(sub, len(tmonos)) if sub else ([], [])
                 den = lcm(*(c.denominator for row in sred for c in row))
                 pivot_of = {col: i for i, col in enumerate(spiv)}
                 reducers = [[(pos, c.numerator * (den // c.denominator))

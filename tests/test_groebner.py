@@ -8,7 +8,7 @@ from logdiv.groebner import (FreeModuleVector, buchberger, codim, eliminate,
                              gb_equal, graded_min_generators, ideal_gb,
                              ideal_lift, ideal_member, ideal_quotient,
                              is_groebner_basis, local_membership_at_origin,
-                             normal_form, syzygies)
+                             normal_form, syzygies, vector_lead_term)
 from logdiv.grammar import parse_polynomial
 from logdiv.poly import Polynomial
 
@@ -68,6 +68,36 @@ def test_normal_form_idempotent_and_linear():
         nf_v = normal_form(fmv(v), gb).components[0]
         assert normal_form(fmv(nf_u), gb).components[0] == nf_u
         assert normal_form(fmv(u * a + v), gb).components[0] == nf_u * a + nf_v
+
+
+def test_normal_form_reduces_past_an_irreducible_term():
+    # the lead y^3 is irreducible; the tail x^2 still reduces away
+    gb = buchberger([fmv(P("x^2", 2))])
+    assert normal_form(fmv(P("y^3 + x^2", 2)), gb) == fmv(P("y^3", 2))
+
+
+def tails_are_irreducible(gb):
+    """No tail term of a generator is divisible by a lead of the basis."""
+    leads = [vector_lead_term(g)[0] for g in gb]
+    for g, (comp, mono) in zip(gb, leads):
+        for c, p in enumerate(g.components):
+            for m in p.terms:
+                if (c, m) != (comp, mono) and any(
+                        c == lc and all(a >= b for a, b in zip(m, lm))
+                        for lc, lm in leads):
+                    return False
+    return True
+
+
+def test_reduced_basis_is_fully_tail_reduced():
+    gb = ideal_of("x^2", "x*y^2 + y^3 + x^2", n=2)
+    assert sorted(repr(v.components[0]) for v in gb) == [
+        "x*y^2 + y^3", "x^2", "y^4"]
+    rng = random.Random(29)
+    for _ in range(15):
+        # a monomial among the generators
+        gb = ideal_gb([P("x^2", 2), rand_poly(rng, 2, 3), rand_poly(rng, 2, 3)])
+        assert tails_are_irreducible(gb)
 
 
 def test_koszul_syzygy_of_two_variables():

@@ -1,9 +1,16 @@
 """The certified modular rref against the plain Gaussian elimination oracle,
 including the cases that need several primes, an unlucky prime and the
-fraction-free fallback."""
+fraction-free fallback.
+
+``linalg`` returns integer forms: rref rows primitive with a positive pivot
+entry, kernel vectors primitive with a positive entry at their free column,
+and residuals as positive multiples of the rational ones.  The oracle works
+in Fractions; a result is compared with it after dividing each row by its
+pivot entry."""
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -13,7 +20,30 @@ from oracles import gauss_rref
 P0 = linalg.PRIMES[0]
 
 
+def rational(result):
+    """An integer rref as the rational one: each row over its pivot entry."""
+    red, pivots = result
+    return ([[Fraction(c, row[p]) for c in row] for row, p in zip(red, pivots)],
+            pivots)
+
+
+def cleared(v):
+    """The rational vector v times the lcm of its denominators."""
+    d = lcm(*(Fraction(c).denominator for c in v))
+    return [int(c * d) for c in v]
+
+
+def oracle_rref(rows, ncols):
+    """The integer rref that ``linalg.rref`` must return, from the oracle:
+    a rational rref row is 1 at its pivot, so clearing its denominators
+    leaves it primitive and positive there."""
+    red, pivots = gauss_rref(rows, ncols)
+    return [cleared(row) for row in red], pivots
+
+
 def oracle_kernel(rows, ncols):
+    """The kernel vectors of the oracle's rref, 1 at their free column, with
+    their denominators cleared: primitive, positive at that column."""
     red, pivots = gauss_rref(rows, ncols)
     basis = []
     for f in range(ncols):
@@ -23,8 +53,48 @@ def oracle_kernel(rows, ncols):
         v[f] = Fraction(1)
         for row, col in zip(red, pivots):
             v[col] = -row[f]
-        basis.append(v)
+        basis.append(cleared(v))
     return basis
+
+
+def oracle_residual(vec, rows, ncols):
+    red, pivots = gauss_rref(rows, ncols)
+    v = [Fraction(c) for c in vec]
+    for row, col in zip(red, pivots):
+        c = v[col]
+        v = [a - c * b for a, b in zip(v, row)]
+    return v
+
+
+def assert_integer_forms(rows, ncols, rng):
+    """rref, kernel_basis and residual of ``rows`` in their integer forms,
+    each equal to the oracle's."""
+    red, pivots = linalg.rref(rows, ncols)
+    assert rational((red, pivots)) == gauss_rref(rows, ncols)
+    for row, p in zip(red, pivots):
+        assert all(type(c) is int for c in row)
+        assert row[p] > 0 and gcd(*row) == 1
+    kernel = linalg.kernel_basis(rows, ncols)
+    free = [f for f in range(ncols) if f not in pivots]
+    assert len(kernel) == len(free)
+    for v, f in zip(kernel, free):
+        assert all(type(c) is int for c in v)
+        assert v[f] > 0 and gcd(*v) == 1
+        assert not any(v[g] for g in free if g != f)
+    assert kernel == oracle_kernel(rows, ncols)
+    vectors = [list(row) for row in rows[:2]]
+    vectors.append([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    for _ in range(ncols)])
+    for vec in vectors:
+        res = linalg.residual(vec, red, pivots)
+        want = oracle_residual(vec, rows, ncols)
+        assert all(type(c) is int for c in res)
+        lead = next((j for j, c in enumerate(want) if c), None)
+        if lead is None:
+            assert not any(res)
+            continue
+        scale = res[lead] / want[lead]
+        assert scale > 0 and res == [scale * c for c in want]
 
 
 def random_matrix(rng, nrows, ncols, rank, fractions):
@@ -67,13 +137,51 @@ def test_rref_and_kernel_match_oracle(nrows, ncols, fractions, no_fallback):
         rows = random_matrix(rng, nrows, ncols, rank, fractions)
         if trial % 3 == 1:
             rows.insert(rng.randint(0, len(rows)), [0] * ncols)
-        assert linalg.rref(rows, ncols) == gauss_rref(rows, ncols)
+        assert linalg.rref(rows, ncols) == oracle_rref(rows, ncols)
         assert linalg.kernel_basis(rows, ncols) == oracle_kernel(rows, ncols)
 
 
-def test_output_entries_are_fractions(no_fallback):
-    red, _ = linalg.rref([[2, 4, 1], [1, 2, 3]], 3)
-    assert all(type(c) is Fraction for row in red for c in row)
+def test_output_entries_are_primitive_integers(no_fallback):
+    red, pivots = linalg.rref([[2, 4, 1], [1, 2, 3]], 3)
+    assert (red, pivots) == ([[1, 2, 0], [0, 0, 1]], [0, 2])
+    red, pivots = linalg.rref([[Fraction(1, 2), Fraction(1, 3), 0],
+                               [0, -2, 3]], 3)
+    assert (red, pivots) == ([[1, 0, 1], [0, 2, -3]], [0, 1])
+    assert linalg.kernel_basis([[2, 4, 1], [1, 2, 3]], 3) == [[-2, 1, 0]]
+    assert linalg.kernel_basis([[3, 0, -2]], 3) == [[0, 1, 0], [2, 0, 3]]
+
+
+@pytest.mark.parametrize("path", ["exact", "modular", "modular-fallback"])
+@pytest.mark.parametrize("fractions", [False, True])
+def test_integer_forms_on_every_path(path, fractions, monkeypatch):
+    """Primitive rows positive at the pivot, primitive kernel vectors
+    positive at the free column and positive multiples of the residual, on
+    the exact path (below 400 cells), the modular path and, with
+    PRIMES = (3,), the modular path's fallback; with Fraction input rows
+    and zero rows."""
+    calls = []
+    for name in ("_rref_exact", "_rref_modular"):
+        def counting(rows, ncols, real=getattr(linalg, name), name=name):
+            calls.append(name)
+            return real(rows, ncols)
+        monkeypatch.setattr(linalg, name, counting)
+    if path != "exact":
+        monkeypatch.setattr(linalg, "MODULAR_MIN_CELLS", 0)
+    if path == "modular-fallback":
+        monkeypatch.setattr(linalg, "PRIMES", (3,))
+    rng = random.Random(len(path) + 100 * fractions)
+    for nrows, ncols in SHAPES:
+        for trial in range(4):
+            rank = rng.randint(0, min(nrows, ncols))
+            rows = random_matrix(rng, nrows, ncols, rank, fractions)
+            if trial % 2:
+                rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+            assert_integer_forms(rows, ncols, rng)
+    if path == "exact":
+        assert set(calls) == {"_rref_exact"}
+    else:
+        assert "_rref_modular" in calls
+        assert ("_rref_exact" in calls) == (path == "modular-fallback")
 
 
 def test_shape_selects_the_path(monkeypatch):
@@ -87,8 +195,8 @@ def test_shape_selects_the_path(monkeypatch):
     rng = random.Random(5)
     small = random_matrix(rng, 4, 6, 3, True)
     large = random_matrix(rng, 30, 20, 12, True)
-    assert linalg.rref(small, 6) == gauss_rref(small, 6)
-    assert linalg.rref(large, 20) == gauss_rref(large, 20)
+    assert rational(linalg.rref(small, 6)) == gauss_rref(small, 6)
+    assert rational(linalg.rref(large, 20)) == gauss_rref(large, 20)
     assert used == [(30, 20)]
 
 
@@ -96,6 +204,8 @@ def test_empty_and_zero_matrices(no_fallback):
     assert linalg.rref([], 3) == ([], [])
     assert linalg.rref([[0, 0, 0], [0, 0, 0]], 3) == ([], [])
     assert linalg.kernel_basis([[0, 0]], 2) == [[1, 0], [0, 1]]
+    assert linalg.kernel_basis([], 2) == [[1, 0], [0, 1]]
+    assert linalg.residual([Fraction(1, 2), 3], [], []) == [1, 6]
 
 
 def test_large_entries_need_several_primes(no_fallback, monkeypatch):
@@ -110,7 +220,7 @@ def test_large_entries_need_several_primes(no_fallback, monkeypatch):
         seen.append(p)
         return echelon(rows, ncols, p)
     monkeypatch.setattr(linalg, "_echelon_mod", counting)
-    assert linalg.rref(rows, 4) == gauss_rref(rows, 4)
+    assert rational(linalg.rref(rows, 4)) == gauss_rref(rows, 4)
     assert len(seen) > 1
 
 
@@ -126,7 +236,7 @@ def test_unlucky_first_prime(rows, no_fallback):
     exact = gauss_rref(rows, ncols)
     modp = linalg._echelon_mod(rows, ncols, P0)[0]
     assert (len(modp), modp) != (len(exact[1]), exact[1])
-    assert linalg.rref(rows, ncols) == exact
+    assert rational(linalg.rref(rows, ncols)) == exact
 
 
 def test_slot_reductions(no_fallback, monkeypatch):
@@ -141,7 +251,7 @@ def test_slot_reductions(no_fallback, monkeypatch):
     mix = [[rng.randint(-2, 2) for _ in range(10)] for _ in range(16)]
     rows = [[sum(a * b for a, b in zip(mrow, col)) for col in zip(*target)]
             for mrow in mix]
-    assert linalg.rref(rows, ncols) == gauss_rref(rows, ncols)
+    assert rational(linalg.rref(rows, ncols)) == gauss_rref(rows, ncols)
     assert len(gauss_rref(rows, ncols)[1]) == 10
 
 
@@ -158,13 +268,13 @@ def test_forced_fallback_equals_exact_path(modular_path, monkeypatch):
     # a single tiny prime cannot reconstruct these entries
     monkeypatch.setattr(linalg, "PRIMES", (3,))
     monkeypatch.setattr(linalg, "_rref_exact", counting)
-    assert linalg.rref(rows, 9) == exact == gauss_rref(rows, 9)
+    assert linalg.rref(rows, 9) == exact == oracle_rref(rows, 9)
     assert calls == [9]
 
 
 def test_certificate_rejects_a_wrong_candidate():
     rows = [[1, 2, 3], [2, 4, 7]]
-    red, pivots = gauss_rref(rows, 3)
+    red, pivots = oracle_rref(rows, 3)
     assert linalg._certified(rows, red, pivots, [1])
     wrong = [list(red[0]), list(red[1])]
     wrong[0][1] += 1
@@ -174,10 +284,10 @@ def test_certificate_rejects_a_wrong_candidate():
 def test_certificate_with_entries_beyond_64_bits():
     big = 1 << 70
     rows = [[big, 1, big + 1], [1, 0, 1]]
-    red, pivots = gauss_rref(rows, 3)
+    red, pivots = oracle_rref(rows, 3)
     assert linalg._certified(rows, red, pivots, [2])
-    wrong = [list(red[0]), list(red[1])]
-    wrong[1][2] = Fraction(1, big)
+    # the integer form of the rational row (0, 1, 1/big)
+    wrong = [list(red[0]), [0, big, 1]]
     assert not linalg._certified(rows, wrong, pivots, [2])
 
 
@@ -185,3 +295,8 @@ def test_invert_and_residual():
     red, pivots = linalg.rref([[1, 1, 0], [0, 1, 1]], 3)
     assert not any(linalg.residual([2, 5, 3], red, pivots))
     assert any(linalg.residual([1, 0, 0], red, pivots))
+    # rows (1, 0, 1) and (0, 2, -3): the rational residual of (1, 1, 1) is
+    # (0, 0, 1 - 1 + 3/2), returned as its integer multiple (0, 0, 3)
+    red, pivots = linalg.rref([[Fraction(1, 2), Fraction(1, 3), 0],
+                               [0, -2, 3]], 3)
+    assert linalg.residual([1, 1, 1], red, pivots) == [0, 0, 3]

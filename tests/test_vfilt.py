@@ -122,7 +122,7 @@ def test_v_member_global_and_local_membership_agree(monkeypatch):
         ops = list(space.basis[:4])
         for _ in range(4):
             noise = space.coords.vec_to_op(
-                [rng.choice((0, 0, 0, 1, -2)) for _ in space.coords.cols])
+                [rng.choice((0, 0, 0, 1, -2)) for _ in space.coords.cols], 1)
             ops.append(noise)
             if space.basis:
                 ops.append(space.basis[0] + noise)
