@@ -23,9 +23,9 @@ may have any number of digits.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, log2, prod
+from math import comb, log2, prod
 
-from .poly import Polynomial, parse_int
+from .poly import Polynomial, integer_form, parse_int
 from .weyl import WeylOperator, compose
 
 
@@ -231,8 +231,8 @@ def _power_refusal(base, k):
     t, n = len(terms), base.nvars
     degs = [max(col) for col in zip(*(m for m, _ in terms))]
     mins = [min(a, b) for a, b in zip(degs[:n], degs[n:])]
-    den = lcm(*(c.denominator for _, c in terms))
-    norm = sum(abs(c.numerator) * (den // c.denominator) for _, c in terms)
+    den, ints = integer_form(_coefficients(base))
+    norm = sum(map(abs, ints))
     c = k * sum(mins)
     bits = ((k * log2(norm * den) if norm * den > 1 else 0) +
             (c * log2(c) if c > 1 else 0))

@@ -31,22 +31,22 @@ each such element is itself divisible by x_i, one mask test per term,
 which graded M always passes.  Otherwise the colon by any g comes from one
 tagged syzygy run on (g*e_1, .., g*e_rank, M), ``module_quotient_by_poly``.
 
-Fractions appear only at the API boundary.  Reduced Groebner bases are
-unique for a fixed order, so all results are deterministic across runs.
+Coefficients cross the API boundary only in ``encode`` and ``decode``, by
+``poly``'s two conversions.  Reduced Groebner bases are unique for a fixed
+order, so all results are deterministic across runs.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import gcd, inf, lcm
+from math import gcd, inf
 from operator import mul
 
 from .linalg import rref
 from .poly import (DEGREVLEX, BlockElim, LastVariableRevlex, ModuleOrder,
-                   Polynomial, SyzElimOrder, TopOrder)
+                   Polynomial, SyzElimOrder, TopOrder, integer_form)
 
 SLOT_BITS = 8
 """Initial width of an exponent slot, guard bit included (exponents up to
@@ -241,25 +241,23 @@ class _Engine:
 
     def encode(self, v: FreeModuleVector):
         """(vec, den) with vec the integer vector of den * v."""
-        den = 1
-        for p in v.components:
-            for c in p.terms.values():
-                den = lcm(den, c.denominator)
-        vec = {}
-        for comp, p in enumerate(v.components):
-            for m, c in p.terms.items():
-                vec[self.term(comp, m)] = c.numerator * (den // c.denominator)
-        return vec, den
+        den, ints = integer_form([c for p in v.components
+                                  for c in p.terms.values()])
+        ints = iter(ints)
+        term = self.term
+        return {term(comp, m): next(ints) for comp, p in enumerate(v.components)
+                for m in p.terms}, den
 
     def ivec(self, v: FreeModuleVector):
         return _strip(self.encode(v)[0])
 
     def decode(self, items, divisor=1) -> FreeModuleVector:
-        polys = [{} for _ in range(self.rank)]
+        """The vector of the integer items divided by ``divisor``."""
+        polys = [[] for _ in range(self.rank)]
         for t, c in items:
-            polys[(t & self.mmask) >> self.cshift][self.exps(t)] = Fraction(c, divisor)
+            polys[(t & self.mmask) >> self.cshift].append((self.exps(t), c))
         zero = Polynomial.zero(self.nvars)
-        return FreeModuleVector([Polynomial(self.nvars, p, _clean=False)
+        return FreeModuleVector([Polynomial.from_integers(self.nvars, p, divisor)
                                  if p else zero for p in polys])
 
     # -- reduction ------------------------------------------------------------
@@ -827,6 +825,6 @@ def graded_redundant(syz, m):
     v_j lies there iff some syzygy has its last constant entry at j (an
     entry between vectors of different degree has positive degree): the
     pivots of the reversed-column rref of the syzygies' constant terms."""
-    consts = [[s.components[j].constant_term() for j in reversed(range(m))]
-              for s in syz]
+    consts = [integer_form([s.components[j].constant_term()
+                            for j in reversed(range(m))])[1] for s in syz]
     return {m - 1 - p for p in rref(consts, m)[1]}

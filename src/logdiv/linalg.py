@@ -1,27 +1,28 @@
 """Exact linear algebra over the rationals, in integers.
 
 Dense kernels and row reductions used by the graded-basis and torsion
-computations.  Input rows may hold Fractions; every output is integer.  A
-row of the reduced row echelon form is kept as its primitive integer
-multiple with a positive pivot entry, so ``row / row[pivot]`` is the
-rational row, and a kernel vector is primitive with a positive entry at its
-free column: both are canonical, and no Fraction is formed.
+computations.  Input rows and vectors are integer: a caller with rational
+entries scales them by ``poly.integer_form``, which changes no row space,
+kernel or zero test.  Every output is integer.  A row of the reduced row
+echelon form is kept as its primitive integer multiple with a positive
+pivot entry, so ``row / row[pivot]`` is the rational row, and a kernel
+vector is primitive with a positive entry at its free column: both are
+canonical, and no Fraction is formed.
 
-``rref`` clears denominators row by row and eliminates modulo word-size
-primes: Gauss-Jordan on packed rows (one Python int per row, one 64-bit
-slot per column), so a row update is a single bignum multiply-add.  The
-images modulo successive primes are combined by the Chinese remainder
-theorem and every entry is rebuilt by rational reconstruction (Wang 1981).
-No candidate is returned before it passes an exact certificate: with r the
-rank modulo p, the n - r kernel vectors K of the candidate R must satisfy
-A K = 0 over the integers on every input row.  Since the rank of A over Q
-is at least its rank modulo p, ker A = ker R, so the row spaces agree, and
-the reduced row echelon form is unique: the output is the canonical one,
-identical to exact elimination.  When the certificate or the reconstruction
-still fails after the last prime of ``PRIMES``, fraction-free integer
-elimination (content stripped as it grows) computes the answer instead.
-That exact path also takes matrices of fewer than ``MODULAR_MIN_CELLS``
-entries, where it is the faster of the two.
+``rref`` eliminates modulo word-size primes: Gauss-Jordan on packed rows
+(one Python int per row, one 64-bit slot per column), so a row update is a
+single bignum multiply-add.  The images modulo successive primes are
+combined by the Chinese remainder theorem and every entry is rebuilt by
+rational reconstruction (Wang 1981).  No candidate is returned before it
+passes an exact certificate: with r the rank modulo p, the n - r kernel
+vectors K of the candidate R must satisfy A K = 0 over the integers on every
+input row.  Since the rank of A over Q is at least its rank modulo p,
+ker A = ker R, so the row spaces agree, and the reduced row echelon form is
+unique: the output is the canonical one, identical to exact elimination.
+When the certificate or the reconstruction still fails after the last prime
+of ``PRIMES``, fraction-free integer elimination (content stripped as it
+grows) computes the answer instead.  That exact path also takes matrices of
+fewer than ``MODULAR_MIN_CELLS`` entries, where it is the faster of the two.
 
 ``span_is_kernel`` proves ker A = span V from the same two parts, a
 forward elimination modulo one prime and the exact product on packed
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt, lcm
 
@@ -49,23 +49,6 @@ MODULAR_MIN_CELLS = 400
 _SLOT = 64
 _MASK = (1 << _SLOT) - 1
 _SWAP = sys.byteorder == "big"
-
-
-def _to_int_rows(rows):
-    """Integer rows with the row spaces of ``rows``: each row is scaled by
-    the lcm of its denominators.  Integer rows are passed through."""
-    out = []
-    for row in rows:
-        if Fraction not in set(map(type, row)):
-            out.append(row)
-            continue
-        den = 1
-        for c in row:
-            if type(c) is Fraction:
-                den = lcm(den, c.denominator)
-        out.append([c.numerator * (den // c.denominator)
-                    if type(c) is Fraction else c * den for c in row])
-    return out
 
 
 def _primitive(row, pivot):
@@ -417,16 +400,15 @@ def rref(rows, ncols):
     Returns (rref_rows, pivots): each row is the primitive integer multiple
     of the rational rref row with a positive entry at its pivot column, so
     it is zero at every other pivot column and ``row / row[pivot]`` is the
-    rational row.  Rows may hold ints or Fractions.
+    rational row.  The input rows are integer.
     """
-    work = _to_int_rows(rows)
-    if not work:
+    if not rows:
         return [], []
-    if len(work) * ncols >= MODULAR_MIN_CELLS:
-        result = _rref_modular(work, ncols)
+    if len(rows) * ncols >= MODULAR_MIN_CELLS:
+        result = _rref_modular(rows, ncols)
         if result is not None:
             return result
-    return _rref_exact(work, ncols)
+    return _rref_exact(rows, ncols)
 
 
 def residual(vec, rref_rows, pivots):
@@ -437,12 +419,13 @@ def residual(vec, rref_rows, pivots):
     entry of row i at column p_i: a row is zero at the other pivots, so no
     reduction changes another's coefficient.  Scaled by the lcm of the
     reduced denominators of those coefficients it is integer, and that
-    positive multiple is returned.  ``vec`` may hold Fractions."""
-    v = _to_int_rows([vec])[0]
-    coeffs = [(v[col], row[col], row) for row, col in zip(rref_rows, pivots)
-              if v[col]]
+    positive multiple is returned.  ``vec`` is integer; a rational vector
+    is passed as an integer multiple, whose residual is zero iff its own
+    is."""
+    coeffs = [(vec[col], row[col], row) for row, col in zip(rref_rows, pivots)
+              if vec[col]]
     scale = lcm(*(h // gcd(c, h) for c, h, _ in coeffs))
-    out = [scale * x for x in v]
+    out = [scale * x for x in vec]
     for c, h, row in coeffs:
         k = scale * c // h
         out = [x - k * r for x, r in zip(out, row)]

@@ -9,7 +9,7 @@ keys so that terms can be heapified and compared cheaply.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import perm
+from math import lcm, perm
 from operator import add, sub
 
 Mono = tuple
@@ -200,6 +200,17 @@ def _coerce(c) -> Fraction:
     return c if type(c) is Fraction else Fraction(c)
 
 
+def integer_form(coeffs):
+    """(den, ints) for a collection, not an iterator, of int or Fraction
+    coefficients: den is the lcm of their denominators (1 for none) and ints
+    the integers den*c, in order.  With ``Polynomial.from_integers``, the
+    one way between Fraction and integer coefficients."""
+    den = lcm(*(c.denominator for c in coeffs))
+    if den == 1:
+        return 1, [c.numerator for c in coeffs]
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
 class Polynomial:
     """Sparse polynomial: a finite map monomial -> nonzero Fraction."""
 
@@ -246,6 +257,17 @@ class Polynomial:
         if coeff == 0:
             return Polynomial.zero(nvars)
         return Polynomial(nvars, {tuple(expo): coeff}, _clean=False)
+
+    @staticmethod
+    def from_integers(nvars, terms, den=1):
+        """The polynomial with coefficient c/den at m for each pair (m, c)
+        of ``terms``: distinct monomials, nonzero ints.  The inverse of
+        ``integer_form``."""
+        if den == 1:
+            terms = {m: Fraction(c) for m, c in terms}
+        else:
+            terms = {m: Fraction(c, den) for m, c in terms}
+        return Polynomial(nvars, terms, _clean=False)
 
     # -- basic queries -------------------------------------------------------
 

@@ -23,7 +23,8 @@ Pieces stay in integers end to end: a piece is the canonical rref in
 ``linalg``'s integer form (primitive rows, positive at their pivots), and
 its rows are reduced, multiplied by f^(-k) and printed without a Fraction
 row.  Fractions appear only in the basis operators, row / row[pivot], and
-in a witness.
+in a witness; f and the operators enter as integer multiples, by
+``poly.integer_form``.
 """
 
 from __future__ import annotations
@@ -32,18 +33,28 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, compress
-from math import gcd, lcm
+from math import lcm
 
 from . import linalg
 from .groebner import ideal_gb, ideal_member, local_membership_at_origin
 from .logder import DerivationModule, InvalidDivisor, log_derivations
-from .poly import DEGREVLEX, Polynomial, mono_deg, mono_mul, monomials_of_degree
+from .poly import (DEGREVLEX, Polynomial, integer_form, mono_deg, mono_mul,
+                   monomials_of_degree)
 from .weyl import WeylOperator, compose
 
 
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
+
+def _integer_terms(op):
+    """den * op as one (beta, [(monomial, int), ...]) block per derivative,
+    den the lcm of op's denominators."""
+    ints = iter(integer_form([c for p in op.terms.values()
+                              for c in p.terms.values()])[1])
+    # zip draws from ints only while p.terms lasts: each block takes its own
+    return [(beta, list(zip(p.terms, ints))) for beta, p in op.terms.items()]
+
 
 def _require_divisor(f):
     if f.is_zero() or f.is_constant():
@@ -71,7 +82,7 @@ class _DerivTable:
     ``degree``: an exponent of a monomial of degree <= degree is at most
     degree, so no sum of such monomials carries into the next slot and a
     monomial product is one int add.  ``power(p)`` is the integer terms of
-    fden^p * f^p, fden the lcm of f's denominators.  ``table(alpha, l)``
+    fden^p * f^p, fden the ``integer_form`` scale of f.  ``table(alpha, l)``
     maps each beta of ``betas``, and each beta on the way to it, to the
     terms of fden^l * d^beta(x^alpha f^l); the entry of beta is one
     derivative of the entry of beta - e_i, i its first nonzero."""
@@ -88,10 +99,8 @@ class _DerivTable:
                 steps[beta] = (parent, i * bits)
                 beta = parent
         self.plan = sorted(steps.items(), key=lambda step: mono_deg(step[0]))
-        fden = lcm(*(c.denominator for c in f.terms.values()))
-        self.fint = [(self.pack(m), c.numerator * (fden // c.denominator))
-                     for m, c in f.terms.items()]
-        self.fden = fden
+        self.fint = [(self.pack(m), c) for m, c in
+                     zip(f.terms, integer_form(f.terms.values())[1])]
         self.powers = [[(0, 1)]]
 
     def pack(self, m):
@@ -101,8 +110,8 @@ class _DerivTable:
     def polynomial(self, terms):
         """Decode (packed monomial, coefficient) pairs; zeros drop out."""
         mask, shifts = self.mask, range(0, self.nvars * self.bits, self.bits)
-        return Polynomial(self.nvars, {
-            tuple((t >> s) & mask for s in shifts): c for t, c in terms})
+        return Polynomial.from_integers(self.nvars, (
+            (tuple((t >> s) & mask for s in shifts), c) for t, c in terms if c))
 
     def power(self, p):
         powers = self.powers
@@ -137,13 +146,13 @@ def v_membership(f: Polynomial, P: WeylOperator, k: int) -> bool:
     for images outside (f^p).
 
     The images are integer multiples pden * fden^l * P(x^alpha f^l), pden
-    the lcm of P's denominators, summed over a ``_DerivTable`` whose slots
-    fit every image term and every power f^p it forms.  An image has
-    degree <= top, |alpha| + l*deg f plus the largest degree of P's
-    coefficients at l = order(P), alpha = 0.  The order test forms f^p only
-    for p*ord(f) <= top, and p <= order(P) - k; for non-homogeneous f,
-    p*deg f can exceed top.  Scaling an image leaves its membership
-    alone."""
+    and fden the ``integer_form`` scales of P and f, summed over a
+    ``_DerivTable`` whose slots fit every image term and every power f^p it
+    forms.  An image has degree <= top, |alpha| + l*deg f plus the largest
+    degree of P's coefficients at l = order(P), alpha = 0.  The order test
+    forms f^p only for p*ord(f) <= top, and p <= order(P) - k; for
+    non-homogeneous f, p*deg f can exceed top.  Scaling an image leaves its
+    membership alone."""
     _require_divisor(f)
     if P.nvars != f.nvars:
         raise ValueError("ring dimension mismatch")
@@ -154,10 +163,8 @@ def v_membership(f: Polynomial, P: WeylOperator, k: int) -> bool:
     e, ford = f.degree(), min(map(mono_deg, f.terms))
     top = order * e + max(mono_deg(m) for c in coeffs for m in c.terms)
     images = _DerivTable(f, P.terms, max(top, min(order - k, top // ford) * e))
-    pden = lcm(*(c.denominator for p in coeffs for c in p.terms.values()))
-    pint = [(beta, [(images.pack(m), c.numerator * (pden // c.denominator))
-                    for m, c in p.terms.items()])
-            for beta, p in P.terms.items()]
+    pint = [(beta, [(images.pack(m), c) for m, c in terms])
+            for beta, terms in _integer_terms(P)]
     gbs = {}
     for alpha, l in _conditions(f.nvars, order, k):
         p = l - k
@@ -216,14 +223,14 @@ class OperatorCoordinates:
         return len(self.cols)
 
     def op_to_vec(self, op: WeylOperator):
-        """Coordinate vector; integral coefficients are stored as ints."""
+        """Integer coordinates of op times the lcm of its denominators."""
         vec = [0] * len(self.cols)
-        for beta, p in op.terms.items():
-            for mono, c in p.terms.items():
+        for beta, terms in _integer_terms(op):
+            for mono, c in terms:
                 pos = self.index.get((beta, mono))
                 if pos is None:
                     raise ValueError("operator does not fit the (d, w) box")
-                vec[pos] = c.numerator if c.denominator == 1 else c
+                vec[pos] = c
         return vec
 
     def blocks(self, vec, den):
@@ -304,9 +311,10 @@ def _condition_rows(f, coords, d, k):
     ``_DerivTable`` whose slots fit the largest degree of the call,
     max(t, |alpha| + l*deg f), so the target of mono * d^beta-term is one
     int add.  The reduction runs in integers.  Each condition's rows are
-    scaled as a whole by the common denominator of the block's rref (the
-    lcm of its integer rows' pivot entries) and of the images; scaling rows
-    leaves the kernel alone."""
+    scaled as a whole: by the common denominator of the block's rref (the
+    lcm of its integer rows' pivot entries), and by fden^l, since the table
+    holds fden^l times the images, fden the ``integer_form`` scale of f.
+    Scaling rows leaves the kernel alone."""
     n, e, w = f.nvars, f.degree(), coords.w
     conds = [(alpha, l, mono_deg(alpha) + l * e + w)
              for alpha, l in _conditions(n, d, k)]
@@ -367,13 +375,6 @@ def _condition_rows(f, coords, d, k):
             blocks[key] = block(*key)
         nfree, action = blocks[key]
         table = images.table(alpha, l)
-        den = images.fden ** l
-        if den != 1:
-            # the images are table / den; clear their reduced denominators
-            scale = lcm(*(den // gcd(c, den) for beta in groups
-                          for _, c in table[beta]))
-            table = {beta: [(m, c * scale // den) for m, c in table[beta]]
-                     for beta in groups}
         residuals = []
         for beta, pmonos in groups.items():
             terms = table[beta]
@@ -416,9 +417,7 @@ def vk_graded_basis(f: Polynomial, k: int, d: int, w: int) -> GradedOperatorSpac
             # form f^(-k) only for a nonempty inner piece: it then fits the
             # box; each row times an integer multiple of it is a vector
             fk = f ** (-k)
-            fden = lcm(*(c.denominator for c in fk.terms.values()))
-            fint = [(m, c.numerator * (fden // c.denominator))
-                    for m, c in fk.terms.items()]
+            fint = list(zip(fk.terms, integer_form(fk.terms.values())[1]))
             index = coords.index
             for row in inner.rows:
                 vec = [0] * len(coords)
@@ -472,15 +471,12 @@ def _generated_vectors(f, coords, d, dm):
                 continue
             # x^gamma * op shifts each coefficient monomial by gamma; the
             # word's integer multiple spans the same line
-            den = lcm(*(c.denominator for p in op.terms.values()
-                        for c in p.terms.values()))
-            terms = [(beta, mono, c.numerator * (den // c.denominator))
-                     for beta, p in op.terms.items()
-                     for mono, c in p.terms.items()]
+            terms = _integer_terms(op)
             for gamma in monomials_of_degree(n, gdeg):
                 vec = [0] * len(coords)
-                for beta, mono, c in terms:
-                    vec[coords.index[beta, mono_mul(mono, gamma)]] = c
+                for beta, block in terms:
+                    for mono, c in block:
+                        vec[coords.index[beta, mono_mul(mono, gamma)]] = c
                 vectors.append(vec)
     return vectors
 

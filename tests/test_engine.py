@@ -21,7 +21,8 @@ from logdiv.poly import (DEGREVLEX, LEX, BlockElim, Polynomial, PotOrder,
                          SyzElimOrder, TopOrder, format_polynomial,
                          monomials_of_degree)
 
-from oracles import in_row_span, module_vec_to_row, rand_homog_poly
+from oracles import (in_row_span, module_vec_to_row, rand_homog_poly,
+                     rand_poly)
 
 
 def P(s, n):
@@ -72,6 +73,14 @@ def test_packed_keys_agree_with_tuple_keys(nvars, rank):
             if max(mu) <= eng.emax:
                 assert (eng.term(c, mu) - eng.term(c, m) ==
                         eng.term(0, u) - eng.term(0, (0,) * nvars))
+        # a rational vector, the zero vector included, comes back from the
+        # integer vector of den * v
+        for _ in range(6):
+            v = FreeModuleVector([rand_poly(rng, nvars, 4, zero_ok=True)
+                                  for _ in range(rank)])
+            vec, den = eng.encode(v)
+            assert all(type(c) is int for c in vec.values())
+            assert eng.decode(vec.items(), den) == v
 
 
 def _homog_vector(rng, nvars, rank, deg):

@@ -109,8 +109,10 @@ def _box_operators(rng, space, count):
     ("quintic", 0, 2, 3), ("quintic", 0, 2, 5), ("quintic", 1, 2, 5),
     ("quintic", -1, 2, 5), ("d3", 0, 2, 1), ("d3", 1, 2, 2),
     ("lines3", 0, 3, 3), ("lines7", -1, 2, 4), ("half", 0, 3, 2),
-    ("half", 1, 3, 3)])
+    ("half", 1, 3, 3), ("half", -1, 3, 4)])
 def test_contains_agrees_with_membership(name, k, d, w):
+    """``contains`` reduces the integer multiple of an operator, so it also
+    answers the same for every rational multiple of it."""
     f = divisor(name)
     space = vk_graded_basis(f, k, d, w)
     rng = random.Random(f"{name} {k} {d} {w}")
@@ -118,6 +120,8 @@ def test_contains_agrees_with_membership(name, k, d, w):
     for op in _box_operators(rng, space, 6):
         got = space.contains(op)
         assert got == v_membership(f, op, k), op
+        c = Fraction(rng.choice((-3, 1, 5)), rng.choice((2, 3, 7)))
+        assert space.contains(op.scale(c)) == got, (op, c)
         seen.add(got)
     if space.rows:
         assert seen == {True, False}

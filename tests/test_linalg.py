@@ -2,11 +2,13 @@
 including the cases that need several primes, an unlucky prime and the
 fraction-free fallback.
 
-``linalg`` returns integer forms: rref rows primitive with a positive pivot
-entry, kernel vectors primitive with a positive entry at their free column,
-and residuals as positive multiples of the rational ones.  The oracle works
-in Fractions; a result is compared with it after dividing each row by its
-pivot entry."""
+``linalg`` takes integer rows and vectors and returns integer forms: rref
+rows primitive with a positive pivot entry, kernel vectors primitive with a
+positive entry at their free column, and residuals as positive multiples of
+the rational ones.  A rational matrix reaches ``linalg`` as its rows
+``cleared`` of their denominators, which changes no row space, kernel or
+zero test.  The oracle works in Fractions on the rational rows; a result is
+compared with it after dividing each row by its pivot entry."""
 
 import random
 from fractions import Fraction
@@ -31,6 +33,11 @@ def cleared(v):
     """The rational vector v times the lcm of its denominators."""
     d = lcm(*(Fraction(c).denominator for c in v))
     return [int(c * d) for c in v]
+
+
+def cleared_rows(rows):
+    """The integer rows that ``linalg`` takes for a rational matrix."""
+    return [cleared(row) for row in rows]
 
 
 def oracle_rref(rows, ncols):
@@ -69,12 +76,13 @@ def oracle_residual(vec, rows, ncols):
 def assert_integer_forms(rows, ncols, rng):
     """rref, kernel_basis and residual of ``rows`` in their integer forms,
     each equal to the oracle's."""
-    red, pivots = linalg.rref(rows, ncols)
+    ints = cleared_rows(rows)
+    red, pivots = linalg.rref(ints, ncols)
     assert rational((red, pivots)) == gauss_rref(rows, ncols)
     for row, p in zip(red, pivots):
         assert all(type(c) is int for c in row)
         assert row[p] > 0 and gcd(*row) == 1
-    kernel = linalg.kernel_basis(rows, ncols)
+    kernel = linalg.kernel_basis(ints, ncols)
     free = [f for f in range(ncols) if f not in pivots]
     assert len(kernel) == len(free)
     for v, f in zip(kernel, free):
@@ -86,7 +94,7 @@ def assert_integer_forms(rows, ncols, rng):
     vectors.append([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                     for _ in range(ncols)])
     for vec in vectors:
-        res = linalg.residual(vec, red, pivots)
+        res = linalg.residual(cleared(vec), red, pivots)
         want = oracle_residual(vec, rows, ncols)
         assert all(type(c) is int for c in res)
         lead = next((j for j, c in enumerate(want) if c), None)
@@ -137,15 +145,16 @@ def test_rref_and_kernel_match_oracle(nrows, ncols, fractions, no_fallback):
         rows = random_matrix(rng, nrows, ncols, rank, fractions)
         if trial % 3 == 1:
             rows.insert(rng.randint(0, len(rows)), [0] * ncols)
-        assert linalg.rref(rows, ncols) == oracle_rref(rows, ncols)
-        assert linalg.kernel_basis(rows, ncols) == oracle_kernel(rows, ncols)
+        ints = cleared_rows(rows)
+        assert linalg.rref(ints, ncols) == oracle_rref(rows, ncols)
+        assert linalg.kernel_basis(ints, ncols) == oracle_kernel(rows, ncols)
 
 
 def test_output_entries_are_primitive_integers(no_fallback):
     red, pivots = linalg.rref([[2, 4, 1], [1, 2, 3]], 3)
     assert (red, pivots) == ([[1, 2, 0], [0, 0, 1]], [0, 2])
-    red, pivots = linalg.rref([[Fraction(1, 2), Fraction(1, 3), 0],
-                               [0, -2, 3]], 3)
+    rows = [[Fraction(1, 2), Fraction(1, 3), 0], [0, -2, 3]]
+    red, pivots = linalg.rref(cleared_rows(rows), 3)
     assert (red, pivots) == ([[1, 0, 1], [0, 2, -3]], [0, 1])
     assert linalg.kernel_basis([[2, 4, 1], [1, 2, 3]], 3) == [[-2, 1, 0]]
     assert linalg.kernel_basis([[3, 0, -2]], 3) == [[0, 1, 0], [2, 0, 3]]
@@ -157,8 +166,8 @@ def test_integer_forms_on_every_path(path, fractions, monkeypatch):
     """Primitive rows positive at the pivot, primitive kernel vectors
     positive at the free column and positive multiples of the residual, on
     the exact path (below 400 cells), the modular path and, with
-    PRIMES = (3,), the modular path's fallback; with Fraction input rows
-    and zero rows."""
+    PRIMES = (3,), the modular path's fallback; with rational matrices,
+    cleared, and zero rows."""
     calls = []
     for name in ("_rref_exact", "_rref_modular"):
         def counting(rows, ncols, real=getattr(linalg, name), name=name):
@@ -195,8 +204,10 @@ def test_shape_selects_the_path(monkeypatch):
     rng = random.Random(5)
     small = random_matrix(rng, 4, 6, 3, True)
     large = random_matrix(rng, 30, 20, 12, True)
-    assert rational(linalg.rref(small, 6)) == gauss_rref(small, 6)
-    assert rational(linalg.rref(large, 20)) == gauss_rref(large, 20)
+    assert rational(linalg.rref(cleared_rows(small), 6)) == \
+        gauss_rref(small, 6)
+    assert rational(linalg.rref(cleared_rows(large), 20)) == \
+        gauss_rref(large, 20)
     assert used == [(30, 20)]
 
 
@@ -205,7 +216,7 @@ def test_empty_and_zero_matrices(no_fallback):
     assert linalg.rref([[0, 0, 0], [0, 0, 0]], 3) == ([], [])
     assert linalg.kernel_basis([[0, 0]], 2) == [[1, 0], [0, 1]]
     assert linalg.kernel_basis([], 2) == [[1, 0], [0, 1]]
-    assert linalg.residual([Fraction(1, 2), 3], [], []) == [1, 6]
+    assert linalg.residual(cleared([Fraction(1, 2), 3]), [], []) == [1, 6]
 
 
 def test_large_entries_need_several_primes(no_fallback, monkeypatch):
@@ -220,7 +231,7 @@ def test_large_entries_need_several_primes(no_fallback, monkeypatch):
         seen.append(p)
         return echelon(rows, ncols, p)
     monkeypatch.setattr(linalg, "_echelon_mod", counting)
-    assert rational(linalg.rref(rows, 4)) == gauss_rref(rows, 4)
+    assert rational(linalg.rref(cleared_rows(rows), 4)) == gauss_rref(rows, 4)
     assert len(seen) > 1
 
 
@@ -258,7 +269,8 @@ def test_slot_reductions(no_fallback, monkeypatch):
 def test_forced_fallback_equals_exact_path(modular_path, monkeypatch):
     rng = random.Random(11)
     rows = random_matrix(rng, 7, 9, 5, True)
-    exact = linalg._rref_exact(linalg._to_int_rows(rows), 9)
+    ints = cleared_rows(rows)
+    exact = linalg._rref_exact(ints, 9)
     calls = []
     fallback = linalg._rref_exact
 
@@ -268,7 +280,7 @@ def test_forced_fallback_equals_exact_path(modular_path, monkeypatch):
     # a single tiny prime cannot reconstruct these entries
     monkeypatch.setattr(linalg, "PRIMES", (3,))
     monkeypatch.setattr(linalg, "_rref_exact", counting)
-    assert linalg.rref(rows, 9) == exact == oracle_rref(rows, 9)
+    assert linalg.rref(ints, 9) == exact == oracle_rref(rows, 9)
     assert calls == [9]
 
 
@@ -297,6 +309,6 @@ def test_invert_and_residual():
     assert any(linalg.residual([1, 0, 0], red, pivots))
     # rows (1, 0, 1) and (0, 2, -3): the rational residual of (1, 1, 1) is
     # (0, 0, 1 - 1 + 3/2), returned as its integer multiple (0, 0, 3)
-    red, pivots = linalg.rref([[Fraction(1, 2), Fraction(1, 3), 0],
-                               [0, -2, 3]], 3)
+    rows = [[Fraction(1, 2), Fraction(1, 3), 0], [0, -2, 3]]
+    red, pivots = linalg.rref(cleared_rows(rows), 3)
     assert linalg.residual([1, 1, 1], red, pivots) == [0, 0, 3]

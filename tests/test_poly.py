@@ -1,10 +1,12 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from logdiv.poly import (DEGREVLEX, LEX, BlockElim, Polynomial, divide_exact,
-                         monomials_of_degree)
+                         integer_form, monomials_of_degree)
 from logdiv.grammar import ParseError, parse_polynomial
 
 from oracles import divmod_single, iterated_partial, rand_poly, schoolbook_mul
@@ -94,6 +96,80 @@ def test_divide_exact_agrees_with_the_oracle_division():
             misses += 1
             assert got is None, (g, h)
     assert misses > 50
+
+
+# past the 4,300 digits that str() converts by default
+BIG = 10 ** 4400 + 1
+
+
+def _fraction_lcm(coeffs):
+    """The least d > 0 with every d*c integral, by Fraction arithmetic."""
+    d = 1
+    for c in coeffs:
+        d *= (Fraction(c) * d).denominator
+    return d
+
+
+def test_integer_form_matches_fraction_arithmetic():
+    rng = random.Random(29)
+    cases = [[], [0], [0, Fraction(0), 0], [3, -4, 0],
+             [Fraction(-3, 4), 2, Fraction(5, 6)],
+             [Fraction(BIG, 3), -BIG, Fraction(1, BIG), Fraction(-7, 2)]]
+    for _ in range(60):
+        cases.append([rng.choice((rng.randint(-9, 9),
+                                  Fraction(rng.randint(-9, 9),
+                                           rng.randint(1, 12))))
+                      for _ in range(rng.randint(0, 8))])
+    for coeffs in cases:
+        den, ints = integer_form(coeffs)
+        assert den == _fraction_lcm(coeffs)
+        assert all(type(c) is int for c in ints)
+        assert ints == [Fraction(c) * den for c in coeffs]
+    assert integer_form([]) == (1, [])
+
+
+def test_from_integers_inverts_integer_form():
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        p = rand_poly(rng, n, 4, zero_ok=True)
+        den, ints = integer_form(p.terms.values())
+        terms = list(zip(p.terms, ints))
+        q = Polynomial.from_integers(n, terms, den)
+        assert q == p
+        assert all(type(c) is Fraction for c in q.terms.values())
+        # den = 1 reads the ints as they are
+        assert Polynomial.from_integers(n, terms) == p * den
+    assert Polynomial.from_integers(1, [((1,), BIG), ((0,), -BIG)], 3) == \
+        Polynomial(1, {(1,): Fraction(BIG, 3), (0,): Fraction(-BIG, 3)})
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "logdiv"
+
+
+def test_only_poly_converts_coefficients():
+    """Coefficients leave the rationals and come back through ``poly``
+    alone: no other module reads a numerator or a denominator, except
+    ``grammar``, which sizes parsed products by their bit lengths, and the
+    integer engines ``groebner`` and ``linalg`` import no Fraction."""
+    readers, bad = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and \
+                    node.attr in ("numerator", "denominator"):
+                readers.add(path.name)
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            if path.name in ("groebner.py", "linalg.py") and \
+                    "fractions" in modules:
+                bad.append(f"{path.name}:{node.lineno} imports fractions")
+    assert "poly.py" in readers
+    assert readers <= {"poly.py", "grammar.py"}, readers
+    assert bad == []
 
 
 def test_constant_term():
