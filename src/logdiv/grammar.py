@@ -22,6 +22,7 @@ may have any number of digits.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb, log2, prod
 
@@ -38,6 +39,11 @@ class ParseError(ValueError):
 
 _OPS = set("+-*^/()")
 
+# one match per token, whitespace run or newline; a \w run that starts with
+# a letter is a name (\w is isalnum() or '_', \s is isspace()), and any
+# other first character is refused at its column
+_TOKEN = re.compile(r"\n|[^\S\n]+|[-+*^/()]|[0-9]+|\w+|.", re.S)
+
 MAX_POWER_BITS = 1 << 20
 """Largest estimated bit length of a coefficient of a power or product."""
 
@@ -51,40 +57,20 @@ Weyl algebra, by the Leibniz terms of a product (``_power_refusal``,
 def _tokenize(text):
     tokens = []
     line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
+    for tok in _TOKEN.findall(text):
+        ch = tok[0]
         if ch in _OPS:
             tokens.append((ch, ch, line, col))
-            col += 1
-            i += 1
+        elif ch.isalpha():
+            tokens.append(("NAME", tok, line, col))
+        elif "0" <= ch <= "9":
+            tokens.append(("INT", tok, line, col))
+        elif ch == "\n":
+            line, col = line + 1, 1
             continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            tokens.append(("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+        elif not ch.isspace():
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        col += len(tok)
     tokens.append(("EOF", "", line, col))
     return tokens
 
@@ -285,11 +271,7 @@ class _Parser:
         return value
 
     def expr(self):
-        if self.peek()[0] == "-":
-            self.next()
-            value = -self.term()
-        else:
-            value = self.term()
+        value = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
             rhs = self.term()

@@ -164,11 +164,7 @@ class _Overflow(Exception):
 
 
 def _strip(vec):
-    g = 0
-    for c in vec.values():
-        g = gcd(g, c)
-        if g == 1:
-            return vec
+    g = gcd(*vec.values())
     if g > 1:
         for t in vec:
             vec[t] //= g
@@ -548,25 +544,38 @@ def vector_lead_term(v: FreeModuleVector):
     return t, k, v.components[t[0]].terms[t[1]]
 
 
-def normal_form(v: FreeModuleVector, gb: GroebnerBasis) -> FreeModuleVector:
-    """Complete reduction of v modulo the basis; zero iff v lies in the
-    submodule; idempotent and linear over the rationals."""
+def _packed_normal_form(v: FreeModuleVector, gb: GroebnerBasis):
+    """(engine, integer vector, divisor) whose quotient is the normal form
+    of v modulo the basis, or None for the zero vector."""
     if v.rank != gb.rank:
         raise ValueError("rank mismatch between vector and basis")
     if v.is_zero():
-        return v
+        return None
 
     def run(slot):
         eng, _, by_comp = gb._reducers(slot)
         vec, den = eng.encode(v)
         out, scale = eng.normal_form(vec, by_comp, primitive=False)
-        return eng.decode(out.items(), scale * den)
+        return eng, out, scale * den
 
     return _widening(run)
 
 
+def normal_form(v: FreeModuleVector, gb: GroebnerBasis) -> FreeModuleVector:
+    """Complete reduction of v modulo the basis; zero iff v lies in the
+    submodule; idempotent and linear over the rationals."""
+    nf = _packed_normal_form(v, gb)
+    return v if nf is None else nf[0].decode(nf[1].items(), nf[2])
+
+
+def _reduces_to_zero(v: FreeModuleVector, gb: GroebnerBasis) -> bool:
+    """Is v in the submodule?  The normal form's zero test, not decoded."""
+    nf = _packed_normal_form(v, gb)
+    return nf is None or not nf[1]
+
+
 def in_submodule(v: FreeModuleVector, gb: GroebnerBasis) -> bool:
-    return normal_form(v, gb).is_zero()
+    return _reduces_to_zero(v, gb)
 
 
 def is_groebner_basis(gens, order: ModuleOrder | None = None) -> bool:
@@ -697,7 +706,7 @@ def gb_polys(gb: GroebnerBasis):
 
 
 def ideal_member(g: Polynomial, gb: GroebnerBasis) -> bool:
-    return normal_form(FreeModuleVector.from_polynomial(g), gb).is_zero()
+    return _reduces_to_zero(FreeModuleVector.from_polynomial(g), gb)
 
 
 def ideal_quotient(gb: GroebnerBasis, g: Polynomial) -> GroebnerBasis:

@@ -64,16 +64,11 @@ def _primitive(row, pivot):
 # ---------------------------------------------------------------------------
 
 def _strip_row(row):
-    g = 0
-    for c in row:
-        if c:
-            g = gcd(g, c)
-            if g == 1:
-                return row
+    """Divide the row by its content, in place."""
+    g = gcd(*row)
     if g > 1:
         for i, c in enumerate(row):
             row[i] = c // g
-    return row
 
 
 def _echelon_int(rows, ncols):

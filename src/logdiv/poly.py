@@ -9,6 +9,7 @@ keys so that terms can be heapified and compared cheaply.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import lcm, perm
 from operator import add, sub
 
@@ -28,22 +29,16 @@ def mono_deg(a: Mono) -> int:
 
 
 def monomials_of_degree(nvars: int, d: int):
-    """All exponent tuples of total degree d, in a fixed (lexicographic)
-    enumeration order."""
+    """All exponent tuples of total degree d, in descending lexicographic
+    order: (d, 0, .., 0) first."""
     if d < 0:
         return []
-    if nvars == 0:
-        return [()] if d == 0 else []
     out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), d, nvars)
+    for combo in combinations_with_replacement(range(nvars), d):
+        expo = [0] * nvars
+        for i in combo:
+            expo[i] += 1
+        out.append(tuple(expo))
     return out
 
 

@@ -22,27 +22,6 @@ from .poly import Polynomial, monomials_of_degree
 from .weyl import WeylOperator, symbol, xi_component_vector
 
 
-def _reindex(p: Polynomial, nvars_new: int, positions) -> Polynomial:
-    """Move p into a larger ring, variable i landing at positions[i]."""
-    terms = {}
-    for m, c in p.terms.items():
-        expo = [0] * nvars_new
-        for i, e in enumerate(m):
-            if e:
-                expo[positions[i]] = e
-        terms[tuple(expo)] = c
-    return Polynomial(nvars_new, terms, _clean=False)
-
-
-def _restrict(p: Polynomial, nvars_new: int, keep) -> Polynomial:
-    """Inverse of _reindex: drop the variables outside ``keep`` (which must
-    not occur in p)."""
-    terms = {}
-    for m, c in p.terms.items():
-        terms[tuple(m[i] for i in keep)] = c
-    return Polynomial(nvars_new, terms, _clean=False)
-
-
 @dataclass
 class SymPresentation:
     """Sym_O M = O[T_1..T_m] / J with J spanned by the linear forms
@@ -83,22 +62,21 @@ def rees_kernel(dm: DerivationModule) -> GroebnerBasis:
     n = dm.nvars
     m = len(dm.generators)
     big = 2 * n + m
-    xpos = list(range(n))
+    # x^mono * xi_j has the exponents mono + xis[j] in the ring x, xi, T
+    xis = [(0,) * j + (1,) + (0,) * (n - 1 - j + m) for j in range(n)]
     gens = []
     for i, g in enumerate(dm.generators):
-        p = Polynomial.variable(big, 2 * n + i)
+        terms = {(0,) * (2 * n + i) + (1,) + (0,) * (m - 1 - i): 1}
         for j, a in enumerate(g.components):
-            if a.is_zero():
-                continue
-            xi = Polynomial.variable(big, n + j)
-            p = p - _reindex(a, big, xpos) * xi
-        gens.append(p)
+            terms.update((mono + xis[j], -c) for mono, c in a.terms.items())
+        gens.append(Polynomial(big, terms))
     elim = eliminate(gens, list(range(n, 2 * n)), nvars=big)
-    keep = list(range(n)) + list(range(2 * n, big))
-    ring = n + m
-    projected = [FreeModuleVector.from_polynomial(
-        _restrict(v.components[0], ring, keep)) for v in elim.generators]
-    return GroebnerBasis(projected, default_module_order(), 1, ring)
+    # the eliminated xi block occurs in no element: drop its exponents
+    projected = [FreeModuleVector.from_polynomial(Polynomial(
+        n + m, {mono[:n] + mono[2 * n:]: c
+                for mono, c in v.components[0].terms.items()}, _clean=False))
+        for v in elim.generators]
+    return GroebnerBasis(projected, default_module_order(), 1, n + m)
 
 
 def pi_injectivity_test(sp: SymPresentation, rk: GroebnerBasis) -> bool:
@@ -173,16 +151,11 @@ def torsion_test_symk(sp: SymPresentation, k: int) -> TorsionReport:
             continue
         if relgb is None:
             relgb = buchberger(rel_vecs)
-        best = None
-        for v in colon:
-            nf = normal_form(v, relgb)
-            if nf.is_zero():
-                continue
-            cand = _canonical_vector(nf)
-            if best is None or _vector_sort_key(cand) < _vector_sort_key(best):
-                best = cand
-        if best is not None:
-            witnesses.append((i, best))
+        candidates = [_canonical_vector(nf) for nf in
+                      (normal_form(v, relgb) for v in colon)
+                      if not nf.is_zero()]
+        if candidates:
+            witnesses.append((i, min(candidates, key=_vector_sort_key)))
     return TorsionReport(k, not witnesses, witnesses)
 
 

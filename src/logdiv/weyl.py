@@ -5,7 +5,8 @@ order filtration and principal symbols."""
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, inf
+from itertools import product
+from math import comb, inf, prod
 
 from .poly import (DEGREVLEX, Polynomial, format_int, format_terms,
                    mono_deg, mono_mul, var_name)
@@ -192,24 +193,6 @@ def apply_op(P: WeylOperator, g: Polynomial) -> Polynomial:
     return result
 
 
-def _leibniz_coeff(beta, delta):
-    c = 1
-    for b, d in zip(beta, delta):
-        c *= comb(b, d)
-    return c
-
-
-def _sub_multi(beta):
-    """All delta <= beta componentwise."""
-    if not beta:
-        yield ()
-        return
-    head, rest = beta[0], beta[1:]
-    for tail in _sub_multi(rest):
-        for d in range(head + 1):
-            yield (d,) + tail
-
-
 def compose(P: WeylOperator, Q: WeylOperator) -> WeylOperator:
     """Normally ordered product P*Q, so apply(compose(P,Q), g) equals
     apply(P, apply(Q, g)).  Uses d^beta q = sum_{delta<=beta} C(beta,delta)
@@ -223,11 +206,12 @@ def compose(P: WeylOperator, Q: WeylOperator) -> WeylOperator:
     acc = {}
     for beta, p in P.terms.items():
         for gamma, q, top in qterms:
-            for delta in _sub_multi(tuple(map(min, beta, top))):
+            for delta in product(*(range(min(b, t) + 1)
+                                   for b, t in zip(beta, top))):
                 dq = q.partial(delta)
                 if dq.is_zero():
                     continue
-                c = _leibniz_coeff(beta, delta)
+                c = prod(map(comb, beta, delta))
                 coeff = p * dq if c == 1 else p * dq * c
                 b = tuple(x - d + g for x, d, g in zip(beta, delta, gamma))
                 s = acc.get(b)

@@ -16,7 +16,9 @@ derivatives d^beta are |beta| successive ``Polynomial.deriv`` calls
 and the operator parser is checked against the one the library used before
 it kept coefficients as polynomials (every value an operator, every
 product a Leibniz composition over all delta <= beta), with frozen copies
-of its tokenizer and name resolution.
+of its character-by-character tokenizer and name resolution; the
+monomial enumeration is checked against the recursion it replaced
+(``recursive_monomials``).
 
 The last section holds helpers that tests share but the library does not
 need: ``subs`` (substitution), ``affine_map`` and ``affine_transform`` (an
@@ -46,6 +48,27 @@ def schoolbook_mul(p: Polynomial, q: Polynomial) -> Polynomial:
             m = tuple(a + b for a, b in zip(m1, m2))
             acc[m] = acc.get(m, Fraction(0)) + c1 * c2
     return Polynomial(p.nvars, acc)
+
+
+def recursive_monomials(nvars, d):
+    """Exponent tuples of total degree d, first exponent from d down: the
+    recursion the library used before it counted
+    ``combinations_with_replacement``."""
+    if d < 0:
+        return []
+    if nvars == 0:
+        return [()] if d == 0 else []
+    out = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 1:
+            out.append(prefix + (remaining,))
+            return
+        for e in range(remaining, -1, -1):
+            rec(prefix + (e,), remaining - e, slots - 1)
+
+    rec((), d, nvars)
+    return out
 
 
 def rand_poly(rng, nvars, max_deg, max_terms=4, zero_ok=False) -> Polynomial:

@@ -15,6 +15,7 @@ from logdiv.poly import Polynomial, format_int, format_polynomial, parse_int
 from logdiv.weyl import WeylOperator, format_operator
 
 from oracles import ComposeEverythingParser, rand_op
+from oracles import tokenize as frozen_tokenize
 from test_cli import invoke
 
 FIXED = [
@@ -141,6 +142,72 @@ def test_parse_errors_match_oracle():
             assert new == old, (text, mode)
             errors += new[0] == "error"
     assert errors >= 300
+
+
+# beside ASCII: whitespace other than a space ("\x1c" and NBSP too),
+# characters that are alphanumeric but not letters (a \w run that the
+# tokenizer refuses at its first character), a titlecase letter, and
+# characters outside the grammar
+TOKEN_ALPHABET = ["x", "y", "dx", "d", "x12", "0", "7", "+", "-", "*", "^",
+                  "/", "(", ")", " ", "\n", "\t", "\r", "\x0b", "\x1c",
+                  "\xa0", "\u00b2", "\u0663", "\u00bd", "\u01c5",
+                  "\u216b", "_", "@"]
+
+
+def tokens_or_error(tokenize, text):
+    try:
+        return "ok", tokenize(text)
+    except ParseError as err:
+        return "error", str(err), err.line, err.col
+
+
+def test_tokenizer_matches_the_character_loop():
+    rng = random.Random(211)
+    cases = [text for text, _ in texts(83)]
+    cases += ["".join(rng.choices(TOKEN_ALPHABET, k=rng.randint(0, 14)))
+              for _ in range(4000)]
+    errors = 0
+    for text in cases:
+        new = tokens_or_error(grammar._tokenize, text)
+        assert new == tokens_or_error(frozen_tokenize, text), repr(text)
+        errors += new[0] == "error"
+    assert 1000 <= errors <= len(cases) - 1000
+
+
+def test_leading_minus_matches_the_oracle():
+    """A leading minus negates the first factor: -a*b parses as (-a)*b,
+    which equals -(a*b) in value and in the position of an error."""
+    rng = random.Random(223)
+    cases = []
+    for text, n in texts(227)[:200]:
+        cases += [("-" + text, n), ("--" + text, n), (f"x*(-{text})", n),
+                  ("-" + _corrupt(rng, text), n)]
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        cases.append(("-" + rand_expr(rng, n, 3, derivatives=False), n))
+    errors = 0
+    for text, n in cases:
+        for mode, parse in ((True, parse_operator),
+                            (False, parse_polynomial)):
+            new, old = outcome(parse, text, n), outcome(oracle(mode), text, n)
+            assert new == old, (text, mode)
+            errors += new[0] == "error"
+    assert 300 <= errors <= 2 * len(cases) - 300
+
+
+@pytest.mark.parametrize("text", [
+    "dx^1000000000*x^1000000000", "3^600000*3^600000*3^600000",
+    "dx^3000*x^3000"])
+def test_leading_minus_keeps_the_product_refusal(text):
+    for parse in (parse_operator, parse_polynomial):
+        if parse is parse_polynomial and "d" in text:
+            continue
+        with pytest.raises(ParseError) as plain:
+            parse(text, 1)
+        with pytest.raises(ParseError) as negated:
+            parse("-" + text, 1)
+        assert negated.value.args == (str(plain.value).replace(
+            f"column {plain.value.col})", f"column {plain.value.col + 1})"),)
 
 
 @pytest.fixture

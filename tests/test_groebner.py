@@ -9,6 +9,7 @@ from logdiv.groebner import (FreeModuleVector, buchberger, codim, eliminate,
                              ideal_lift, ideal_member, ideal_quotient,
                              is_groebner_basis, local_membership_at_origin,
                              normal_form, syzygies, vector_lead_term)
+from logdiv import groebner
 from logdiv.grammar import parse_polynomial
 from logdiv.poly import Polynomial
 
@@ -56,6 +57,30 @@ def test_normal_form_zero_iff_member():
     assert normal_form(fmv(P("x^3 + x^2*y", 2)), gb).is_zero()
     nf = normal_form(fmv(P("x", 2)), gb)
     assert nf.components[0] == P("x", 2)
+
+
+def test_membership_zero_test_matches_the_decoded_normal_form():
+    rng = random.Random(19)
+    bases = [ideal_of("x^2 - y", "y^2", n=2), ideal_of("x*y - 1", n=2),
+             buchberger([fmv(P("x^2", 2), P("y", 2)),
+                         fmv(P("y", 2), Polynomial.zero(2))])]
+    for gb in bases:
+        for _ in range(40):
+            v = FreeModuleVector([rand_poly(rng, 2, 4, zero_ok=True)
+                                  for _ in range(gb.rank)])
+            if rng.random() < 0.4:  # a member
+                g = gb.generators[rng.randrange(len(gb))]
+                v = g.scale(Fraction(rng.randint(1, 5), 3))
+            assert groebner._reduces_to_zero(v, gb) == \
+                normal_form(v, gb).is_zero()
+    # exponents past the default 8-bit slots: the test widens them
+    gb = ideal_of("x^150 - y", n=2)
+    for text, member in (("x^300 - y^2", True), ("x^300 - y", False),
+                         ("x^149*y", False), ("y^200 - x^150*y^199", True)):
+        v = fmv(P(text, 2))
+        assert groebner._reduces_to_zero(v, gb) is member
+        assert normal_form(v, gb).is_zero() is member
+        assert ideal_member(P(text, 2), gb) is member
 
 
 def test_normal_form_idempotent_and_linear():

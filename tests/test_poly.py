@@ -9,7 +9,8 @@ from logdiv.poly import (DEGREVLEX, LEX, BlockElim, Polynomial, divide_exact,
                          integer_form, monomials_of_degree)
 from logdiv.grammar import ParseError, parse_polynomial
 
-from oracles import divmod_single, iterated_partial, rand_poly, schoolbook_mul
+from oracles import (divmod_single, iterated_partial, rand_poly,
+                     recursive_monomials, schoolbook_mul)
 
 
 def P(s, n):
@@ -271,6 +272,14 @@ def test_monomial_enumeration_count():
     for n in (1, 2, 3):
         for d in (0, 1, 4):
             assert len(monomials_of_degree(n, d)) == comb(n + d - 1, d)
+
+
+def test_monomial_enumeration_order_matches_the_recursion():
+    # the order of Sym^k relations and witness components depends on it
+    for n in range(6):
+        for d in range(-2, 8):
+            assert monomials_of_degree(n, d) == recursive_monomials(n, d), \
+                (n, d)
 
 
 # -- grammar ----------------------------------------------------------------
