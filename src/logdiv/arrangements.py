@@ -58,14 +58,14 @@ class DnArrangement(Arrangement):
 MAX_N = 6
 
 
-def generic_dn(n: int, max_n: int = MAX_N) -> DnArrangement:
+def generic_dn(n: int) -> DnArrangement:
     """The arrangement x_1*...*x_n*(x_1+...+x_n) with the Euler field, the
     fields eta_ij = x_i x_j (d_i - d_j) and the syzygies
     sigma_ijk = x_i eta_jk - x_j eta_ik + x_k eta_ij."""
     if n < 2:
         raise ValueError("generic_dn needs n >= 2")
-    if n > max_n:
-        raise ValueError(f"n = {n} exceeds the configured bound {max_n}")
+    if n > MAX_N:
+        raise ValueError(f"n = {n} exceeds the configured bound {MAX_N}")
     xs = [Polynomial.variable(n, i) for i in range(n)]
     zero = Polynomial.zero(n)
     s = Polynomial.zero(n)

@@ -496,7 +496,6 @@ def _basis(order, nvars, rank, encode):
 def buchberger(gens, order: ModuleOrder | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the submodule generated by ``gens``."""
     gens, rank, nvars = _prep(gens)
-    gens = [v for v in gens if not v.is_zero()]
     return _basis(order or default_module_order(), nvars, rank,
                   lambda eng: [eng.ivec(v) for v in gens])
 
@@ -647,8 +646,6 @@ def syzygies(gens):
 def module_quotient_by_poly(rel_vecs, g: Polynomial, rank: int, nvars: int):
     """Generators of (Rel : g) = {v in O^rank : g*v in Rel}: the g e_b parts
     of the syzygies of (g e_1, .., g e_rank, Rel)."""
-    if not rel_vecs:
-        return []
     gens = []
     for b in range(rank):
         comps = [Polynomial.zero(nvars)] * rank
@@ -667,8 +664,6 @@ def tagged_lift(v: FreeModuleVector, tagged):
     """Coefficients (q_1..q_m) with v = sum q_i g_i, read off the
     ``tagged_basis`` of the g_i, or None if v is not in their span."""
     rank = tagged.order.split
-    if v.rank != rank:
-        raise ValueError("rank mismatch")
     m = tagged.rank - rank
     padded = FreeModuleVector(list(v.components) +
                               [Polynomial.zero(tagged.nvars)] * m)
@@ -690,14 +685,7 @@ def ideal_lift(g: Polynomial, polys):
 # ---------------------------------------------------------------------------
 
 def ideal_gb(polys, order=None) -> GroebnerBasis:
-    polys = list(polys)
-    if not polys:
-        raise ValueError("empty generator list")
-    nonzero = [p for p in polys if not p.is_zero()]
-    if not nonzero:
-        return GroebnerBasis([], order or default_module_order(), 1,
-                             polys[0].nvars)
-    return buchberger([FreeModuleVector.from_polynomial(p) for p in nonzero],
+    return buchberger([FreeModuleVector.from_polynomial(p) for p in polys],
                       order)
 
 
@@ -774,8 +762,6 @@ def local_membership_at_origin(g: Polynomial, gb: GroebnerBasis) -> bool:
     has a nonzero value at 0."""
     if g.is_zero():
         return True
-    if gb.is_zero_module():
-        return False
     quot = ideal_quotient(gb, g)
     return any(p.constant_term() != 0 for p in gb_polys(quot))
 

@@ -29,6 +29,13 @@ class InvalidDivisor(ValueError):
     pass
 
 
+def require_divisor(f: Polynomial):
+    """The one check of every entry point that takes a divisor: f must be
+    a nonconstant polynomial (0 is constant too)."""
+    if f.is_constant():
+        raise InvalidDivisor("divisor must be a nonconstant polynomial")
+
+
 def gradient(f: Polynomial):
     return [f.deriv(i) for i in range(f.nvars)]
 
@@ -40,7 +47,7 @@ def quasi_weights(f: Polynomial):
     are searched beyond the plain-homogeneous shortcut; that covers every
     (quasi-)homogeneous divisor treated here.
     """
-    if f.is_zero() or f.is_constant():
+    if f.is_constant():
         return None
     n = f.nvars
     if f.is_homogeneous():
@@ -175,8 +182,7 @@ def log_derivations(f: Polynomial) -> DerivationModule:
     """Der(log f) = {theta : theta(f) in <f>} with cofactors, computed as
     the syzygy module of (d_1 f, .., d_n f, -f) projected to the first n
     coordinates."""
-    if f.is_zero() or f.is_constant():
-        raise InvalidDivisor("divisor must be defined by a nonconstant polynomial")
+    require_divisor(f)
     inputs = [FreeModuleVector.from_polynomial(g) for g in gradient(f)]
     inputs.append(FreeModuleVector.from_polynomial(-f))
     return _from_syzygies(f, syzygies(inputs))
@@ -195,8 +201,7 @@ def log_derivations_from_ann(ann: DerivationModule, chi) -> DerivationModule:
 
 def ann_theta(f: Polynomial) -> DerivationModule:
     """Ann_Theta(f) = {theta : theta(f) = 0}: syzygies of the gradient."""
-    if f.is_zero() or f.is_constant():
-        raise InvalidDivisor("divisor must be defined by a nonconstant polynomial")
+    require_divisor(f)
     gens = syzygies([FreeModuleVector.from_polynomial(g) for g in gradient(f)])
     return DerivationModule(f, gens, [Polynomial.zero(f.nvars)] * len(gens))
 
@@ -205,8 +210,7 @@ def euler_field(f: Polynomial):
     """A field chi with chi(f) = f exactly, or None when f is not in the
     ideal of its partials.  Homogeneous f of degree e gets the classical
     (1/e) sum x_i d_i."""
-    if f.is_zero() or f.is_constant():
-        raise InvalidDivisor("divisor must be defined by a nonconstant polynomial")
+    require_divisor(f)
     n = f.nvars
     if f.is_homogeneous():
         e = f.degree()

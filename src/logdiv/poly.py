@@ -330,8 +330,6 @@ class Polynomial:
                           _clean=False)
 
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(self.nvars, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -375,14 +373,7 @@ class Polynomial:
             (m, c), = self.terms.items()
             return Polynomial(self.nvars, {tuple(k * e for e in m): c ** k},
                               _clean=False)
-        result = Polynomial.one(self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return power(self, k, Polynomial.one(self.nvars), Polynomial.__mul__)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -424,6 +415,18 @@ class Polynomial:
             else:
                 res[tuple(map(sub, m, beta))] = c * k
         return Polynomial(self.nvars, res, _clean=False)
+
+
+def power(base, k: int, one, mul):
+    """base^k by square-and-multiply, ``mul`` the product and ``one`` its
+    unit: the one power loop of polynomials and operators."""
+    result = one
+    while k:
+        if k & 1:
+            result = mul(result, base)
+        base = mul(base, base) if k > 1 else base
+        k >>= 1
+    return result
 
 
 # ---------------------------------------------------------------------------

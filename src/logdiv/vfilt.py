@@ -37,7 +37,7 @@ from math import lcm
 
 from . import linalg
 from .groebner import ideal_gb, ideal_member, local_membership_at_origin
-from .logder import DerivationModule, InvalidDivisor, log_derivations
+from .logder import DerivationModule, log_derivations, require_divisor
 from .poly import (DEGREVLEX, Polynomial, integer_form, mono_deg, mono_mul,
                    monomials_of_degree)
 from .weyl import WeylOperator, compose
@@ -54,11 +54,6 @@ def _integer_terms(op):
                               for c in p.terms.values()])[1])
     # zip draws from ints only while p.terms lasts: each block takes its own
     return [(beta, list(zip(p.terms, ints))) for beta, p in op.terms.items()]
-
-
-def _require_divisor(f):
-    if f.is_zero() or f.is_constant():
-        raise InvalidDivisor("divisor must be a nonconstant polynomial")
 
 
 def _conditions(nvars, order, level):
@@ -153,7 +148,7 @@ def v_membership(f: Polynomial, P: WeylOperator, k: int) -> bool:
     forms f^p only for p*ord(f) <= top, and p <= order(P) - k; for
     non-homogeneous f, p*deg f can exceed top.  Scaling an image leaves its
     membership alone."""
-    _require_divisor(f)
+    require_divisor(f)
     if P.nvars != f.nvars:
         raise ValueError("ring dimension mismatch")
     if P.is_zero() or f.constant_term():
@@ -285,7 +280,7 @@ class NonHomogeneousError(ValueError):
 
 
 def _require_homogeneous(f):
-    _require_divisor(f)
+    require_divisor(f)
     if not f.is_homogeneous():
         raise NonHomogeneousError("graded bases need a homogeneous divisor")
 
@@ -444,14 +439,9 @@ def _generated_vectors(f, coords, d, dm):
     n = f.nvars
     if dm is None:
         dm = log_derivations(f)
-    try:
-        dm = dm.minimalized()
-    except ValueError:
-        pass
+    dm = dm.minimalized()
     fields = dm.operators()
     weights = dm.grading[1]
-    if weights is None:
-        raise ValueError("generator is not weight-homogeneous")
     # each word is its prefix, one letter shorter, composed with one field
     words = {(): WeylOperator.constant(n, 1)}
 
@@ -547,7 +537,7 @@ def compare_v0(f: Polynomial, d: int, w: int,
 def default_weight_range(f: Polynomial, d: int):
     """Heuristic scan range [-d, d*(deg f - 1)] where order <= d
     logarithmic operators of a homogeneous divisor can live."""
-    _require_divisor(f)
+    require_divisor(f)
     if d < 0:
         raise ValueError("order bound must be nonnegative")
     e = f.degree()

@@ -9,7 +9,7 @@ from itertools import product
 from math import comb, inf, prod
 
 from .poly import (DEGREVLEX, Polynomial, format_int, format_terms,
-                   mono_deg, mono_mul, var_name)
+                   mono_deg, mono_mul, power, var_name)
 
 
 class WeylOperator:
@@ -120,10 +120,6 @@ class WeylOperator:
                             _clean=False)
 
     def __sub__(self, other):
-        if isinstance(other, Polynomial):
-            other = WeylOperator.from_polynomial(other)
-        elif not isinstance(other, WeylOperator):
-            other = WeylOperator.constant(self.nvars, other)
         return self + (-other)
 
     def scale(self, c):
@@ -163,14 +159,7 @@ class WeylOperator:
                 return WeylOperator(self.nvars,
                                     {tuple(k * e for e in beta): c ** k},
                                     _clean=False)
-        result = WeylOperator.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = compose(result, base)
-            base = compose(base, base) if k > 1 else base
-            k >>= 1
-        return result
+        return power(self, k, WeylOperator.constant(self.nvars, 1), compose)
 
     def __eq__(self, other):
         if not isinstance(other, WeylOperator):

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from logdiv import arrangements
 from logdiv.arrangements import (Arrangement, example9_objects, generic_dn,
                                  lemma19_check, prop17_check)
 from logdiv.grammar import parse_polynomial
@@ -26,12 +27,14 @@ def test_generic_dn_counts():
         assert len(arr.hyperplanes) == n + 1
 
 
-def test_generic_dn_bounds():
+def test_generic_dn_bounds(monkeypatch):
     with pytest.raises(ValueError):
         generic_dn(1)
     with pytest.raises(ValueError):
         generic_dn(7)
-    assert generic_dn(7, max_n=7).nvars == 7
+    # the bound is read when called
+    monkeypatch.setattr(arrangements, "MAX_N", 7)
+    assert generic_dn(7).nvars == 7
 
 
 def test_eta_fields_are_logarithmic():

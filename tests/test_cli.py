@@ -239,8 +239,8 @@ def test_selftest_fault_injection(monkeypatch):
     from logdiv.groebner import FreeModuleVector
     real = arr_mod.generic_dn
 
-    def mutated(n, max_n=arr_mod.MAX_N):
-        arr = real(n, max_n)
+    def mutated(n):
+        arr = real(n)
         key = sorted(arr.sigmas)[0]
         sigma = arr.sigmas[key]
         arr.sigmas[key] = FreeModuleVector(
@@ -309,6 +309,15 @@ def test_zero_divisor_is_unsupported(extra):
     code, out, err = invoke(["v0-basis", "-f", "0", "-d", "2"] + extra)
     assert code == 3 and out == ""
     assert "divisor must be a nonconstant polynomial" in err
+
+
+@pytest.mark.parametrize("text", ["0", "7"])
+@pytest.mark.parametrize("command", ["logder", "euler", "freeness", "symalg",
+                                     "criterion"])
+def test_constant_divisor_is_unsupported(command, text):
+    code, out, err = invoke([command, text])
+    assert code == 3 and out == ""
+    assert err == "unsupported input: divisor must be a nonconstant polynomial\n"
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])

@@ -184,6 +184,30 @@ def test_quotient_by_zero_rejected():
         ideal_quotient(ideal_of("x", n=1), Polynomial.zero(1))
 
 
+def test_zero_generators_and_wrong_ranks():
+    # all-zero generators give the zero module; no generators at all leave
+    # the rank undetermined
+    zero = ideal_gb([Polynomial.zero(2), Polynomial.zero(2)])
+    assert zero.is_zero_module()
+    assert not local_membership_at_origin(P("x", 2), zero)
+    with pytest.raises(ValueError):
+        ideal_gb([])
+    tagged = groebner.tagged_basis([fmv(P("x", 2), P("y", 2))])
+    with pytest.raises(ValueError):
+        groebner.tagged_lift(fmv(P("x", 2)), tagged)
+
+
+@pytest.mark.parametrize("rel", [[], [fmv(P("x*y", 2), P("y^2", 2))]])
+def test_colon_by_zero_is_the_whole_module(rel):
+    # 0 * v lies in every Rel, so (Rel : 0) = O^2
+    zero, one = Polynomial.zero(2), Polynomial.one(2)
+    quot = groebner.module_quotient_by_poly(rel, zero, 2, 2)
+    assert gb_equal(buchberger(quot),
+                    buchberger([fmv(one, zero), fmv(zero, one)]))
+    # and (0 : g) = 0 for g != 0
+    assert groebner.module_quotient_by_poly([], P("x", 2), 2, 2) == []
+
+
 def test_codim_examples():
     for n in (1, 2, 4):
         gb = ideal_gb([Polynomial.variable(n, i) for i in range(n)])

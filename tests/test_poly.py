@@ -173,6 +173,24 @@ def test_only_poly_converts_coefficients():
     assert bad == []
 
 
+def test_one_divisor_check():
+    """``InvalidDivisor`` is raised in ``logder.require_divisor`` alone,
+    the one check every entry point taking a divisor calls."""
+    raises = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                for inner in ast.walk(node):
+                    owner.setdefault(inner, node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None and \
+                    "InvalidDivisor" in ast.unparse(node.exc):
+                raises.append((path.name, owner.get(node)))
+    assert raises == [("logder.py", "require_divisor")]
+
+
 def test_constant_term():
     assert P("3+x", 1).constant_term() == 3
     assert Polynomial.zero(2).constant_term() == 0
@@ -211,6 +229,16 @@ def test_pow_matches_repeated_mul():
     p = P("x - 2*y + 1", 2)
     assert p ** 3 == p * p * p
     assert p ** 0 == Polynomial.one(2)
+    rng = random.Random(27)
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        p = rand_poly(rng, n, 3, max_terms=5)
+        while len(p.terms) < 2:
+            p = p + rand_poly(rng, n, 3)
+        expected = Polynomial.one(n)
+        for k in range(8):
+            assert p ** k == expected, (p, k)
+            expected = expected * p
 
 
 def test_partial_matches_iterated_deriv():

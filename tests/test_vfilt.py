@@ -6,9 +6,9 @@ import pytest
 from logdiv import groebner, vfilt, weyl
 from logdiv.arrangements import example9_objects
 from logdiv.grammar import parse_operator, parse_polynomial
-from logdiv.groebner import local_membership_at_origin
+from logdiv.groebner import FreeModuleVector, local_membership_at_origin
 from logdiv.logder import (DerivationModule, InvalidDivisor, _cofactor,
-                           log_derivations)
+                           ann_theta, euler_field, log_derivations)
 from logdiv.poly import Polynomial, monomials_of_degree
 from logdiv.vfilt import (NonHomogeneousError, _conditions, compare_v0,
                           default_weight_range, logder_generated_graded,
@@ -69,6 +69,25 @@ def test_membership_rejects_constant_divisor():
     for f in (Polynomial.one(2), Polynomial.zero(2)):
         with pytest.raises(InvalidDivisor):
             v_membership(f, WeylOperator.zero(2), 0)
+
+
+ENTRY_POINTS = {
+    "log_derivations": log_derivations,
+    "ann_theta": ann_theta,
+    "euler_field": euler_field,
+    "v_membership": lambda f: v_membership(f, OP("x*dx", 2), 0),
+    "v0_graded_basis": lambda f: v0_graded_basis(f, 1, 0),
+    "compare_v0": lambda f: compare_v0(f, 1, 0),
+    "default_weight_range": lambda f: default_weight_range(f, 1),
+}
+
+
+@pytest.mark.parametrize("c", [0, 7])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_entry_point_rejects_a_constant_divisor(entry, c):
+    with pytest.raises(InvalidDivisor) as exc:
+        ENTRY_POINTS[entry](Polynomial.constant(2, c))
+    assert str(exc.value) == "divisor must be a nonconstant polynomial"
 
 
 def test_v_member_is_v_membership():
@@ -418,12 +437,14 @@ def test_v0_dims_match_bruteforce_normal_crossing():
             assert v0_graded_basis(f, d, w).dim == brute_v0_dimension(f, d, w)
 
 
-def test_v0_dims_match_bruteforce_f3():
-    from logdiv.arrangements import generic_dn
-    f = generic_dn(3).f
-    for d in (1, 2):
-        for w in range(-4, 5):
-            assert v0_graded_basis(f, d, w).dim == brute_v0_dimension(f, d, w)
+def test_generated_piece_needs_graded_generators():
+    # (x + x^2) d_x is logarithmic along x*y but not homogeneous, so the
+    # module has no minimal graded generators to form words from
+    f = P("x*y", 2)
+    v = FreeModuleVector([P("x + x^2", 2), Polynomial.zero(2)])
+    dm = DerivationModule(f, [v], [_cofactor(v, f)])
+    with pytest.raises(ValueError):
+        logder_generated_graded(f, 1, 0, dm)
 
 
 def test_vk_dims_match_bruteforce():

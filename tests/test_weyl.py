@@ -197,6 +197,19 @@ def test_affine_transform_intertwines_application():
             assert apply_op(Q, subs(g, phi)) == subs(apply_op(Pop, g), phi)
 
 
+def test_pow_is_repeated_compose_for_seeded_operators():
+    rng = random.Random(27)
+    for _ in range(10):
+        n = rng.randint(1, 2)
+        A = rand_op(rng, n, 2)
+        while all(p.is_constant() for p in A.terms.values()):
+            A = A + rand_op(rng, n, 2)
+        expected = WeylOperator.constant(n, 1)
+        for k in range(8):
+            assert A ** k == expected, (A, k)
+            expected = compose(expected, A)
+
+
 def test_parsed_powers_square_repeatedly():
     p, A = P("x - 2*y + 1", 2), OP("x*dy + dx - y", 2)
     p_k, A_k = Polynomial.one(2), OP("1", 2)
