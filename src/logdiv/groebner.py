@@ -718,12 +718,14 @@ def eliminate(polys, elim_vars, nvars=None) -> GroebnerBasis:
     """Intersection with the subring on the complementary variables, as a
     reduced degrevlex Groebner basis (still in the ambient ring)."""
     polys = list(polys)
-    nvars = nvars or polys[0].nvars
+    if nvars is None:
+        if not polys:
+            raise ValueError("an empty generator list needs nvars")
+        nvars = polys[0].nvars
     elim = sorted(set(elim_vars))
-    order = TopOrder(BlockElim(elim, nvars))
-    gb = ideal_gb(polys, order) if any(not p.is_zero() for p in polys) else None
-    if gb is None:
-        return GroebnerBasis([], default_module_order(), 1, nvars)
+    # the zero polynomial generates what an empty list does
+    gb = ideal_gb(polys or [Polynomial.zero(nvars)],
+                  TopOrder(BlockElim(elim, nvars)))
     kept = []
     elimset = set(elim)
     for v in gb.generators:

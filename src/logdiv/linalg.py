@@ -10,9 +10,10 @@ vector is primitive with a positive entry at its free column: both are
 canonical, and no Fraction is formed.
 
 ``rref`` eliminates modulo word-size primes: Gauss-Jordan on packed rows
-(one Python int per row, one 64-bit slot per column), so a row update is a
-single bignum multiply-add.  The images modulo successive primes are
-combined by the Chinese remainder theorem and every entry is rebuilt by
+(one Python int per row, one 64-bit slot per column, column 0 in the top
+slot), so a row update is a single bignum multiply-add; back-substitution
+updates only the packed free columns.  The images modulo successive primes
+are combined by the Chinese remainder theorem and every entry is rebuilt by
 rational reconstruction (Wang 1981).  No candidate is returned before it
 passes an exact certificate: with r the rank modulo p, the n - r kernel
 vectors K of the candidate R must satisfy A K = 0 over the integers on every
@@ -48,7 +49,7 @@ MODULAR_MIN_CELLS = 400
 
 _SLOT = 64
 _MASK = (1 << _SLOT) - 1
-_SWAP = sys.byteorder == "big"
+_SWAP = sys.byteorder == "little"
 
 
 def _primitive(row, pivot):
@@ -132,21 +133,23 @@ def _rref_exact(rows, ncols):
 # ---------------------------------------------------------------------------
 
 def _slots_to_int(a):
-    """A 64-bit array as one int, element i at bits 64 i (unsigned)."""
+    """A 64-bit array of n elements as one int, element i at bits
+    64 (n - 1 - i) (unsigned): the first element in the top slot."""
     if _SWAP:
         a = array(a.typecode, a)
         a.byteswap()
-    return int.from_bytes(a.tobytes(), "little")
+    return int.from_bytes(a, "big")
 
 
 def _pack(slots):
-    """Slot values in [0, 2**64) as one int, slot i at bits 64 i."""
+    """Slot values in [0, 2**64) of n columns as one int, column c at bits
+    64 (n - 1 - c): a lead, zero left of its pivot, is a shorter int, and
+    reading column c, (x >> 64 (n - 1 - c)) & _MASK, keeps only slots <= c."""
     return _slots_to_int(array("Q", slots))
 
 
 def _unpack(x, n):
-    a = array("Q")
-    a.frombytes(x.to_bytes(8 * n, "little"))
+    a = array("Q", x.to_bytes(8 * n, "big"))
     if _SWAP:
         a.byteswap()
     return a
@@ -173,6 +176,7 @@ def _forward_mod(rows, ncols, p):
     of the reduced row echelon form.
     """
     limit = _limit(p)
+    top = _SLOT * (ncols - 1)
     leads, shifts, cols, used = [], [], [], []
     for idx, row in enumerate(rows):
         if len(leads) == ncols:
@@ -189,12 +193,13 @@ def _forward_mod(rows, ncols, p):
                     x = _reduce(x, ncols, p)
                     k = 0
         slots = [s % p for s in _unpack(x, ncols)]
-        col = next((c for c, s in enumerate(slots) if s), None)
-        if col is None:
+        head = next(filter(None, slots), 0)
+        if not head:
             continue
-        inv = pow(slots[col], -1, p)
+        col = slots.index(head)
+        inv = pow(head, -1, p)
         leads.append(_pack([s * inv % p for s in slots]))
-        shifts.append(_SLOT * col)
+        shifts.append(top - _SLOT * col)
         cols.append(col)
         used.append(idx)
     return leads, cols, used
@@ -203,31 +208,37 @@ def _forward_mod(rows, ncols, p):
 def _echelon_mod(rows, ncols, p):
     """Reduced row echelon form of integer rows modulo p.
 
-    Returns (pivots, leads, used): the pivot columns in increasing order,
-    the matching rows of the form as slot arrays, and the indices of the
-    input rows that became pivot rows (a basis of the row space mod p).
+    Returns (pivots, images, used): the pivot columns in increasing order,
+    the matching rows of the form on the non-pivot columns, in increasing
+    order, as slot arrays, and the indices of the input rows that became
+    pivot rows (a basis of the row space mod p).
+
+    Back-substitution, newest lead first, updates only the packed free
+    columns (n - r slots at rank r): a later lead, once reduced, is zero at
+    every other pivot column, so lead i's coefficients are its own forward
+    entries at the later pivots, read in one unpack.
     """
     leads, cols, used = _forward_mod(rows, ncols, p)
+    pivset = set(cols)
+    free = [c for c in range(ncols) if c not in pivset]
     limit = _limit(p)
-    # Back-substitute, newest lead first.  Each later lead is already zero
-    # at every other pivot column, so one read of a row gives all of its
-    # coefficients.
-    for i in range(len(leads) - 2, -1, -1):
-        x = leads[i]
-        slots = _unpack(x, ncols)
+    images = [0] * len(leads)
+    for i in range(len(leads) - 1, -1, -1):
+        slots = _unpack(leads[i], ncols)
+        x = _pack([slots[f] for f in free])
         k = 0
         for j in range(i + 1, len(leads)):
             v = slots[cols[j]]
             if v:
-                x += (p - v) * leads[j]
+                x += (p - v) * images[j]
                 k += 1
                 if k == limit:
-                    x = _reduce(x, ncols, p)
+                    x = _reduce(x, len(free), p)
                     k = 0
-        leads[i] = _reduce(x, ncols, p) if k else x
+        images[i] = _reduce(x, len(free), p) if k else x
     order = sorted(range(len(cols)), key=cols.__getitem__)
     return ([cols[i] for i in order],
-            [_unpack(leads[i], ncols) for i in order],
+            [_unpack(images[i], len(free)) for i in order],
             [used[i] for i in order])
 
 
@@ -292,7 +303,8 @@ def _pack_columns(rows, width, fits64):
         buf = array("q", bytes(nbytes * len(rows)))
         out = []
         for col in cols:
-            buf[::step] = array("q", col)
+            # the last element of a group is its lowest 64 bits
+            buf[step - 1::step] = array("q", col)
             u = _slots_to_int(buf)
             out.append(u - (((u >> (_SLOT - 1)) & ones) << _SLOT))
         return out
@@ -332,9 +344,8 @@ def _kernel_vectors(red, pivots, free):
     row's entry at f and h_i its pivot entry; the lcm of the reduced
     denominators clears it to a primitive vector."""
     heads = [row[col] for row, col in zip(red, pivots)]
-    columns = list(zip(*red))
     for f in free:
-        column = columns[f] if red else ()
+        column = [row[f] for row in red]
         entries = [(pivots[i], column[i] // g, heads[i] // g)
                    for i in compress(range(len(column)), column)
                    for g in (gcd(column[i], heads[i]),)]
@@ -358,11 +369,10 @@ def _rref_modular(rows, ncols):
         # after the first prime, eliminate only the rows it found independent;
         # the certificate still checks every row
         part = rows if subset is None else [rows[i] for i in subset]
-        piv, leads, used = _echelon_mod(part, ncols, p)
+        piv, images, used = _echelon_mod(part, ncols, p)
         used = used if subset is None else [subset[i] for i in used]
         pivset = set(piv)
         free_p = [f for f in range(ncols) if f not in pivset]
-        images = [[lead[f] for f in free_p] for lead in leads]
         if pivots is None or len(piv) > len(pivots) or \
                 (len(piv) == len(pivots) and piv < pivots):
             # the first prime, or the earlier ones were unlucky

@@ -9,6 +9,13 @@ l - k <= 0 hold automatically and contribute nothing.  Graded bases exist
 for homogeneous f only, where each (order, weight) piece is a
 finite-dimensional exact linear algebra problem.
 
+A graded piece states the same conditions on the conjugated operator
+f^-l P f^l: with P = sum a_beta d^beta, P(x^alpha f^l) is
+sum_{gamma <= alpha} alpha!/(alpha - gamma)! x^(alpha - gamma) E_gamma for
+E_gamma = sum_{beta >= gamma} C(beta, gamma) a_beta d^(beta - gamma)(f^l),
+and alpha! != 0, so the E_gamma in f^p * O over the same (gamma, l) cut
+out the same piece with fewer entries (``_condition_rows``).
+
 A piece of V_0 is the kernel of integer condition rows A, and the piece
 generated by logarithmic vector fields is the span of word vectors G that
 lie in it.  ``compare_v0`` proves them equal without an rref: modulo one
@@ -33,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, compress
-from math import lcm
+from math import comb, lcm, prod
 
 from . import linalg
 from .groebner import ideal_gb, ideal_member, local_membership_at_origin
@@ -294,36 +301,47 @@ def _piece_coords(f, d, w):
 
 
 def _condition_rows(f, coords, d, k):
-    """Integer rows whose kernel is the (d, w) piece of V_k: the stacked
-    conditions P(x^alpha f^l) in f^p * O, p = l - k, for the (alpha, l) of
-    ``_conditions``, over the coordinate columns in reverse order.
+    """Integer rows whose kernel is the (d, w) piece of V_k, k >= 0, over
+    the coordinate columns in reverse order.
+
+    Write P = sum_beta a_beta d^beta.  By Leibniz, P(x^alpha f^l) is
+    sum_{gamma <= alpha} alpha!/(alpha - gamma)! x^(alpha - gamma) E_gamma,
+    with E_gamma = sum_{beta >= gamma} C(beta, gamma) a_beta
+    d^(beta - gamma)(f^l) and C(beta, gamma) = prod_i C(beta_i, gamma_i).
+    The coefficient of E_alpha is alpha! != 0, so by induction on |alpha|
+    the conditions P(x^alpha f^l) in f^p * O, p = l - k, for the (alpha, l)
+    of ``_conditions`` hold iff E_gamma in f^p * O does for the same index
+    set: the kernel is the same.  The term beta = gamma, a_gamma f^l, lies
+    in f^p * O already, so condition (gamma, l) has entries only in the
+    columns with beta > gamma.
 
     A condition contributes one row per target monomial of degree
-    t = |alpha| + l*deg f + w: the images of the coordinate columns reduced
+    t = |gamma| + l*deg f + w: the images of the coordinate columns reduced
     against the rref of the f^p multiples of degree t.  That block depends
-    on (p, t) only, so it is built once per key and shared by every alpha of
-    the call.  The derivatives d^beta(x^alpha f^l) come from one
-    ``_DerivTable`` whose slots fit the largest degree of the call,
-    max(t, |alpha| + l*deg f), so the target of mono * d^beta-term is one
+    on (p, t) only, so it is built once per key and shared by every gamma
+    of the call.  The derivatives d^delta(f^l), |delta| <= d, come from one
+    ``_DerivTable`` table per level l, whose slots fit the largest degree of
+    the call, max(t, l*deg f), so the target of mono * d^delta-term is one
     int add.  The reduction runs in integers.  Each condition's rows are
     scaled as a whole: by the common denominator of the block's rref (the
     lcm of its integer rows' pivot entries), and by fden^l, since the table
-    holds fden^l times the images, fden the ``integer_form`` scale of f.
-    Scaling rows leaves the kernel alone."""
+    holds fden^l times the derivatives, fden the ``integer_form`` scale of
+    f.  Scaling rows leaves the kernel alone."""
     n, e, w = f.nvars, f.degree(), coords.w
-    conds = [(alpha, l, mono_deg(alpha) + l * e + w)
-             for alpha, l in _conditions(n, d, k)]
+    conds = [(gamma, l, mono_deg(gamma) + l * e + w)
+             for gamma, l in _conditions(n, d, k)]
     conds = [c for c in conds if c[2] >= 0]
     groups = {}
     for beta, mono in coords.cols:
         groups.setdefault(beta, []).append(mono)
-    # below weight 0, x^alpha f^l (degree t - w) is the largest
-    images = _DerivTable(f, groups,
+    # below weight 0, f^l (degree t - |gamma| - w) is the largest
+    images = _DerivTable(f, [m for j in range(d + 1)
+                             for m in monomials_of_degree(n, j)],
                          max([0] + [t - min(w, 0) for _, _, t in conds]))
     pack = images.pack
     groups = {beta: [pack(m) for m in monos] for beta, monos in groups.items()}
 
-    blocks = {}
+    blocks, tables = {}, {}
 
     def block(p, t):
         """Per target monomial of degree t, the (row, coefficient) pairs
@@ -364,15 +382,23 @@ def _condition_rows(f, coords, d, k):
         return len(free), action
 
     rows = []
-    for alpha, l, t in conds:
+    for gamma, l, t in conds:
         key = (l - k, t)
         if key not in blocks:
             blocks[key] = block(*key)
         nfree, action = blocks[key]
-        table = images.table(alpha, l)
+        if l not in tables:
+            tables[l] = images.table((0,) * n, l)
+        table = tables[l]
+        zero = [0] * nfree
         residuals = []
         for beta, pmonos in groups.items():
-            terms = table[beta]
+            delta = tuple(b - g for b, g in zip(beta, gamma))
+            if min(delta) < 0 or not any(delta):
+                residuals.extend([zero] * len(pmonos))
+                continue
+            binom = prod(map(comb, beta, gamma))
+            terms = [(m, binom * c) for m, c in table[delta]]
             for pm in pmonos:
                 res = [0] * nfree
                 for m, c in terms:

@@ -429,6 +429,72 @@ def condition_rows(f: Polynomial, cols, d: int, w: int, k: int):
     return rows
 
 
+def conjugate_condition_rows(f: Polynomial, cols, d: int, w: int, k: int):
+    """The rows ``vfilt._condition_rows`` stacks for the (d, w) piece of
+    V_k, k >= 0, over the coordinate columns ``cols``: condition
+    (gamma, l) asks E_gamma = sum_{beta >= gamma} C(beta, gamma) a_beta
+    d^(beta - gamma)(f^l) to lie in f^p * O, p = l - k, one row per free
+    target monomial of the f^p block.  Every d^delta(f^l) comes from
+    ``iterated_partial``, C(beta, gamma) from ``math.comb`` and the block
+    rref from ``gauss_rref``.  The term beta = gamma, which the library
+    skips, is kept: it lies in f^p * O and reduces to zero.  The images
+    are scaled by fden^l, fden the lcm of f's denominators, and by the lcm
+    of the block's denominators, so they are integer."""
+    n = f.nvars
+    e = f.degree()
+    fden = lcm(*(c.denominator for c in f.terms.values()))
+    rows = []
+    for l in range(max(k + 1, 0), d + 1):
+        p = l - k
+        fl = f ** l
+        derivs = {}
+        for gdeg in range(d - l + 1):
+            for gamma in monomials_of_degree(n, gdeg):
+                target_deg = gdeg + l * e + w
+                if target_deg < 0:
+                    continue
+                tmonos = monomials_of_degree(n, target_deg)
+                tindex = {m: i for i, m in enumerate(tmonos)}
+                sub = []
+                if target_deg - p * e >= 0:
+                    fp = f ** p
+                    for m in monomials_of_degree(n, target_deg - p * e):
+                        vec = [0] * len(tmonos)
+                        for fm, c in fp.terms.items():
+                            vec[tindex[tuple(x + y for x, y in zip(fm, m))]] = c
+                        sub.append(vec)
+                sred, spiv = gauss_rref(sub, len(tmonos)) if sub else ([], [])
+                den = lcm(*(c.denominator for row in sred for c in row))
+                pivot_of = {col: i for i, col in enumerate(spiv)}
+                reducers = [[(pos, c.numerator * (den // c.denominator))
+                             for pos, c in enumerate(row)
+                             if c and pos not in pivot_of] for row in sred]
+                residuals = []
+                for beta, mono in cols:
+                    res = [0] * len(tmonos)
+                    delta = tuple(b - g for b, g in zip(beta, gamma))
+                    if min(delta) >= 0:
+                        if delta not in derivs:
+                            derivs[delta] = [
+                                (dm, int(c * fden ** l)) for dm, c in
+                                iterated_partial(fl, delta).terms.items()]
+                        binom = 1
+                        for b, g in zip(beta, gamma):
+                            binom *= comb(b, g)
+                        for dm, c in derivs[delta]:
+                            c *= binom
+                            q = tindex[tuple(x + y for x, y in zip(dm, mono))]
+                            i = pivot_of.get(q)
+                            if i is None:
+                                res[q] += den * c
+                            else:
+                                for pos, s in reducers[i]:
+                                    res[pos] -= c * s
+                    residuals.append(res)
+                rows.extend(row[::-1] for row in zip(*residuals) if any(row))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # degreewise torsion oracle for graded module presentations
 # ---------------------------------------------------------------------------

@@ -179,6 +179,20 @@ def test_ideal_quotient_saturation_eliminate():
     assert gb_equal(el2, ideal_of("y^3 - z^2", n=3))
 
 
+def test_eliminate_zero_and_empty_input():
+    """All-zero input is decided by ``ideal_gb``: it and an empty list with
+    nvars give the zero module; an empty list without nvars has no ring."""
+    for el in (eliminate([], [0], nvars=2),
+               eliminate([Polynomial.zero(2)], [0]),
+               eliminate([Polynomial.zero(2), Polynomial.zero(2)], [1])):
+        assert el.is_zero_module()
+        assert (el.rank, el.nvars) == (1, 2)
+    with pytest.raises(ValueError, match="needs nvars"):
+        eliminate([], [0])
+    # nvars=0 is a ring, not a missing argument
+    assert eliminate([], [], nvars=0).nvars == 0
+
+
 def test_quotient_by_zero_rejected():
     with pytest.raises(ValueError):
         ideal_quotient(ideal_of("x", n=1), Polynomial.zero(1))

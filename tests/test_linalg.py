@@ -266,6 +266,90 @@ def test_slot_reductions(no_fallback, monkeypatch):
     assert len(gauss_rref(rows, ncols)[1]) == 10
 
 
+def oracle_echelon_mod(rows, ncols, p):
+    """Pivot columns and free-column entries of the oracle's rref reduced
+    mod p: the same as the rref mod p when p divides no denominator and
+    drops no pivot, which holds for the small entries below."""
+    red, pivots = gauss_rref(rows, ncols)
+    free = [f for f in range(ncols) if f not in pivots]
+    return pivots, [[row[f].numerator * pow(row[f].denominator, -1, p) % p
+                     for f in free] for row in red]
+
+
+def plain_forward_mod(rows, ncols, p):
+    """Forward elimination mod p on plain lists, in the order of
+    ``_forward_mod``: (cols, used, leads), each lead scaled to 1 at its
+    first nonzero column."""
+    leads, cols, used = [], [], []
+    for idx, row in enumerate(rows):
+        x = [c % p for c in row]
+        for lead, col in zip(leads, cols):
+            v = x[col]
+            x = [(a - v * b) % p for a, b in zip(x, lead)]
+        col = next((c for c, a in enumerate(x) if a), None)
+        if col is None:
+            continue
+        inv = pow(x[col], -1, p)
+        leads.append([a * inv % p for a in x])
+        cols.append(col)
+        used.append(idx)
+    return cols, used, leads
+
+
+def _echelon_cases():
+    """Seeded tall, wide, rank-deficient, duplicate-row and zero-row
+    matrices of small integers."""
+    rng = random.Random(29)
+    cases = []
+    for nrows, ncols, rank in [(24, 9, 9), (7, 20, 7), (15, 15, 8),
+                               (12, 30, 5), (40, 12, 12)]:
+        rows = random_matrix(rng, nrows, ncols, rank, False)
+        cases.append(rows)
+        dup = rows + [list(rows[i]) for i in range(0, nrows, 3)]
+        rng.shuffle(dup)
+        cases.append(dup)
+        zeros = list(rows)
+        for _ in range(3):
+            zeros.insert(rng.randint(0, len(zeros)), [0] * ncols)
+        cases.append(zeros)
+    return cases
+
+
+def test_echelon_mod_matches_oracle_mod_p():
+    for rows in _echelon_cases():
+        ncols = len(rows[0])
+        pivots, images, used = linalg._echelon_mod(rows, ncols, P0)
+        assert (pivots, [list(im) for im in images]) == \
+            oracle_echelon_mod(rows, ncols, P0)
+        # the rows it used are a basis of the row space
+        assert len(gauss_rref([rows[i] for i in used], ncols)[1]) == \
+            len(pivots)
+
+
+def test_back_substitution_reduces_between_updates():
+    """Modulo 2**31 - 1 a slot absorbs four updates (``_limit``); with 31
+    pivots and one free column a lead takes up to 30 back-substitution
+    updates, so its packed free part is reduced several times."""
+    p = 2 ** 31 - 1
+    assert linalg._limit(p) == 4
+    rng = random.Random(41)
+    rows = random_matrix(rng, 34, 32, 31, False)
+    pivots, images, _ = linalg._echelon_mod(rows, 32, p)
+    assert len(pivots) == 31
+    assert (pivots, [list(im) for im in images]) == \
+        oracle_echelon_mod(rows, 32, p)
+
+
+@pytest.mark.parametrize("p", [P0, 2 ** 31 - 1])
+def test_forward_mod_matches_plain_elimination(p):
+    for rows in _echelon_cases():
+        ncols = len(rows[0])
+        leads, cols, used = linalg._forward_mod(rows, ncols, p)
+        want_cols, want_used, want_leads = plain_forward_mod(rows, ncols, p)
+        assert (cols, used) == (want_cols, want_used)
+        assert [list(linalg._unpack(x, ncols)) for x in leads] == want_leads
+
+
 def test_forced_fallback_equals_exact_path(modular_path, monkeypatch):
     rng = random.Random(11)
     rows = random_matrix(rng, 7, 9, 5, True)
