@@ -7,8 +7,10 @@ In operator mode ``*`` is still composition in the Weyl algebra, so parsed
 input comes out normally ordered, but values stay polynomials until a
 derivative appears: a coefficient such as ``(x*y + 1)*dx`` is multiplied
 out as a polynomial, and the Leibniz rule runs only where a derivative
-stands left of a nonconstant coefficient (``dx*x``).  The parser
-round-trips the printers in ``poly`` and ``weyl``.
+stands left of a nonconstant coefficient (``dx*x``).  A sum adds its
+terms into one term map, and a product of two single-term polynomials
+(``3*x``, ``x*y``) is one coefficient product and one exponent add.  The
+parser round-trips the printers in ``poly`` and ``weyl``.
 
 A power ``p^k`` is refused with a ``ParseError`` when its estimated cost,
 taken from p's terms before anything is expanded, exceeds
@@ -26,7 +28,7 @@ import re
 from fractions import Fraction
 from math import comb, log2, prod
 
-from .poly import Polynomial, integer_form, parse_int
+from .poly import Polynomial, integer_form, mono_mul, parse_int
 from .weyl import WeylOperator, compose
 
 
@@ -130,6 +132,15 @@ def _mul(a, b, tok):
     """Weyl product of two parsed values, each a polynomial or an operator;
     a ``ParseError`` at the ``*`` token ``tok`` if ``_product_refusal``
     refuses it."""
+    if (isinstance(a, Polynomial) and isinstance(b, Polynomial) and
+            len(a.terms) == 1 == len(b.terms)):
+        # one coefficient product: its work is within the limit, its bits
+        # may not be
+        (ma, ca), = a.terms.items()
+        (mb, cb), = b.terms.items()
+        if _bits(ca) + _bits(cb) <= MAX_POWER_BITS:
+            return Polynomial(a.nvars, {mono_mul(ma, mb): ca * cb},
+                              _clean=False)
     if isinstance(a, Polynomial):
         leibniz = False
     else:
@@ -159,6 +170,12 @@ def _coefficients(value):
     return [c for p in value.terms.values() for c in p.terms.values()]
 
 
+def _bits(c):
+    """The bit lengths of a coefficient's numerator and denominator, less
+    2: about log2 of both together."""
+    return c.numerator.bit_length() + c.denominator.bit_length() - 2
+
+
 def _product_refusal(a, b, leibniz):
     """Why a*b is refused, or None, judged as ``_power_refusal`` judges the
     last multiplication of a power.  A coefficient of a*b has about bits =
@@ -171,10 +188,7 @@ def _product_refusal(a, b, leibniz):
     ca, cb = _coefficients(a), _coefficients(b)
     if not ca or not cb:
         return None
-    bits = (max(c.numerator.bit_length() + c.denominator.bit_length()
-                for c in ca) +
-            max(c.numerator.bit_length() + c.denominator.bit_length()
-                for c in cb) - 4)
+    bits = max(map(_bits, ca)) + max(map(_bits, cb))
     terms = 1
     if leibniz:
         dmax = [max(col) for col in zip(*a.terms)]
@@ -271,14 +285,36 @@ class _Parser:
         return value
 
     def expr(self):
+        """A sum of terms, added into one map d-exponent -> (monomial ->
+        coefficient); a polynomial term adds at d^0.  The sum is an
+        operator once any term is one."""
         value = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            rhs = self.term()
-            if type(value) is not type(rhs):
-                value, rhs = _lift(value), _lift(rhs)
-            value = value + rhs if op == "+" else value - rhs
-        return value
+        if self.peek()[0] not in ("+", "-"):
+            return value
+        zero = (0,) * self.nvars
+        sums, negate, operator = {}, False, False
+        while True:
+            if isinstance(value, Polynomial):
+                blocks = ((zero, value),)
+            else:
+                blocks, operator = value.terms.items(), True
+            for b, p in blocks:
+                acc = sums.setdefault(b, {})
+                for m, c in p.terms.items():
+                    c = acc.get(m, 0) + (-c if negate else c)
+                    if c:
+                        acc[m] = c
+                    else:
+                        del acc[m]
+            if self.peek()[0] not in ("+", "-"):
+                break
+            negate = self.next()[0] == "-"
+            value = self.term()
+        if not operator:
+            return Polynomial(self.nvars, sums[zero], _clean=False)
+        return WeylOperator(self.nvars, {
+            b: Polynomial(self.nvars, acc, _clean=False)
+            for b, acc in sums.items() if acc}, _clean=False)
 
     def term(self):
         value = self.unary()

@@ -437,18 +437,23 @@ class _Engine:
 
     def _reduce(self, reducers):
         # a lead divides only leads of its own component
+        mmask, guard, cshift = self.mmask, self.guard, self.cshift
         kept, by_comp = [], {}
         for r in sorted(reducers, key=lambda r: r[0]):
-            same = by_comp.setdefault(r[1] >> self.cshift, [])
+            same = by_comp.setdefault(r[1] >> cshift, [])
             if not any(not (r[1] - k[1]) & self.dmask for k in same):
                 kept.append(r)
                 same.append(r)
         # tail-reduce each survivor against all of them, the ones before it
-        # already reduced; no lead divides a term below itself
+        # already reduced; no lead divides a term below itself.  A reducer
+        # is primitive, so one whose tail no lead divides stays as it is.
         for pos, r in enumerate(kept):
+            if not any(not ((t & mmask) - k[1]) & guard for t, _ in r[3]
+                       for k in by_comp.get((t & mmask) >> cshift, ())):
+                continue
             tail, scale = self.normal_form(dict(r[3]), by_comp, primitive=False)
             kept[pos] = self.reducer(_strip({r[0]: r[2] * scale, **tail}))
-            same = by_comp[r[1] >> self.cshift]
+            same = by_comp[r[1] >> cshift]
             same[same.index(r)] = kept[pos]
         return kept
 

@@ -209,7 +209,8 @@ def ann_theta(f: Polynomial) -> DerivationModule:
 def euler_field(f: Polynomial):
     """A field chi with chi(f) = f exactly, or None when f is not in the
     ideal of its partials.  Homogeneous f of degree e gets the classical
-    (1/e) sum x_i d_i."""
+    (1/e) sum x_i d_i.  A chi with chi(f) != f raises AssertionError: the
+    engine is inconsistent."""
     require_divisor(f)
     n = f.nvars
     if f.is_homogeneous():
@@ -221,7 +222,9 @@ def euler_field(f: Polynomial):
         if lift is None:
             return None
         chi = WeylOperator.vector_field(lift)
-    assert apply_op(chi, f) == f
+    if apply_op(chi, f) != f:
+        raise AssertionError("Euler field does not map f to f: engine "
+                             "inconsistency")
     return chi
 
 

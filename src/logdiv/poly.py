@@ -2,6 +2,10 @@
 
 Polynomials are immutable once constructed: every operation returns a new
 object, so values may be shared freely across worker threads and caches.
+Every constructor stores a coefficient as a plain ``int`` when it is
+integral and as a ``Fraction`` otherwise; arithmetic may leave an integral
+Fraction behind, which compares, hashes and prints as its int.  No code
+here applies ``/`` to a coefficient: ``int / int`` is a float.
 Monomials are plain exponent tuples; term orders produce flat integer sort
 keys so that terms can be heapified and compared cheaply.
 """
@@ -188,11 +192,13 @@ class SyzElimOrder(ModuleOrder):
 # polynomials
 # ---------------------------------------------------------------------------
 
-_ONE = Fraction(1)
-
-
-def _coerce(c) -> Fraction:
-    return c if type(c) is Fraction else Fraction(c)
+def _coerce(c):
+    """The coefficient c: an int if integral, otherwise a Fraction."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def integer_form(coeffs):
@@ -207,7 +213,8 @@ def integer_form(coeffs):
 
 
 class Polynomial:
-    """Sparse polynomial: a finite map monomial -> nonzero Fraction."""
+    """Sparse polynomial: a finite map monomial -> nonzero coefficient, an
+    int when integral and a Fraction otherwise."""
 
     __slots__ = ("nvars", "terms")
 
@@ -242,7 +249,7 @@ class Polynomial:
         if not 0 <= i < nvars:
             raise ValueError(f"variable index {i} out of range for {nvars} variables")
         expo = (0,) * i + (1,) + (0,) * (nvars - i - 1)
-        return Polynomial(nvars, {expo: _ONE}, _clean=False)
+        return Polynomial(nvars, {expo: 1}, _clean=False)
 
     @staticmethod
     def monomial(nvars, expo, coeff=1):
@@ -257,12 +264,14 @@ class Polynomial:
     def from_integers(nvars, terms, den=1):
         """The polynomial with coefficient c/den at m for each pair (m, c)
         of ``terms``: distinct monomials, nonzero ints.  The inverse of
-        ``integer_form``."""
+        ``integer_form``; c/den is an int where den divides c."""
         if den == 1:
-            terms = {m: Fraction(c) for m, c in terms}
-        else:
-            terms = {m: Fraction(c, den) for m, c in terms}
-        return Polynomial(nvars, terms, _clean=False)
+            return Polynomial(nvars, dict(terms), _clean=False)
+        out = {}
+        for m, c in terms:
+            q, r = divmod(c, den)
+            out[m] = Fraction(c, den) if r else q
+        return Polynomial(nvars, out, _clean=False)
 
     # -- basic queries -------------------------------------------------------
 
@@ -272,8 +281,8 @@ class Polynomial:
     def is_constant(self):
         return all(mono_deg(m) == 0 for m in self.terms)
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+    def constant_term(self):
+        return self.terms.get((0,) * self.nvars, 0)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -294,7 +303,7 @@ class Polynomial:
         degs = {sum(w * e for w, e in zip(weights, m)) for m in self.terms}
         return len(degs) <= 1
 
-    def lead_coeff(self, order: TermOrder = DEGREVLEX) -> Fraction:
+    def lead_coeff(self, order: TermOrder = DEGREVLEX):
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
         return self.terms[max(self.terms, key=order.key)]

@@ -11,6 +11,7 @@ eliminating the xi block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .groebner import (FreeModuleVector, GroebnerBasis, buchberger, codim,
@@ -161,7 +162,7 @@ def torsion_test_symk(sp: SymPresentation, k: int) -> TorsionReport:
 
 def _canonical_vector(v: FreeModuleVector) -> FreeModuleVector:
     _, _, lc = vector_lead_term(v)
-    return v.scale(1 / lc)
+    return v.scale(Fraction(1, lc))
 
 
 def _vector_sort_key(v: FreeModuleVector):

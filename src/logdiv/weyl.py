@@ -4,7 +4,6 @@ order filtration and principal symbols."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 from math import comb, inf, prod
 
@@ -123,7 +122,6 @@ class WeylOperator:
         return self + (-other)
 
     def scale(self, c):
-        c = Fraction(c)
         if c == 0:
             return WeylOperator.zero(self.nvars)
         return WeylOperator(self.nvars,

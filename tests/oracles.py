@@ -149,7 +149,7 @@ def divmod_single(g: Polynomial, h: Polynomial):
             continue
         if all(a <= b for a, b in zip(hm, m)):
             u = tuple(b - a for a, b in zip(hm, m))
-            f = c / hc
+            f = Fraction(c) / hc
             q[u] = q.get(u, 0) + f
             for m2, c2 in h.terms.items():
                 if m2 != hm:
@@ -179,7 +179,7 @@ def _reduce_terms(f, basis, key):
         for lt, g in basis:
             if lt[0] == t[0] and all(a <= b for a, b in zip(lt[1], t[1])):
                 u = tuple(b - a for a, b in zip(lt[1], t[1]))
-                q = c / g[lt]
+                q = Fraction(c) / g[lt]
                 for (gc, gm), ga in g.items():
                     if (gc, gm) != lt:
                         s = (gc, tuple(a + b for a, b in zip(u, gm)))
@@ -234,7 +234,7 @@ def textbook_buchberger(gens, order):
         r = _reduce_terms(f, minimal[:pos] + minimal[pos + 1:], key)
         comps = [{} for _ in range(rank)]
         for (c, m), a in r.items():
-            comps[c][m] = a / r[lt]
+            comps[c][m] = Fraction(a) / r[lt]
         out.append(FreeModuleVector([Polynomial(nvars, p) for p in comps]))
     return out
 
@@ -253,7 +253,7 @@ def gauss_rref(rows, ncols):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         lead = rows[r][col]
-        rows[r] = [c / lead for c in rows[r]]
+        rows[r] = [Fraction(c) / lead for c in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][col] != 0:
                 factor = rows[i][col]

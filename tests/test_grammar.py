@@ -464,3 +464,74 @@ def test_cli_integers_of_any_length():
     code, out, err = invoke(["v0-member", "-f", "x+1", "-P", f"dx^{LONG}"])
     assert code == 0 and f"order: {LONG}\n" in out
     assert time.perf_counter() - start < 1
+
+
+# -- sums in one term map, single-term products -----------------------------
+
+@pytest.mark.parametrize("text, n", [
+    ("x + y*dx + 3 - x", 2), ("x - 1 + dx*x - x*dx", 1),
+    ("2/3*x + y - dy*y + dx - 2/3*x + y*dy", 2),
+    ("(x + 1)^2 - x^2 + dx*(x - 1) - (y + dy)*x", 2)])
+def test_sum_switching_to_operator_terms_matches_the_oracle(text, n):
+    got = parse_operator(text, n)
+    assert type(got) is WeylOperator
+    assert got == oracle(True)(text, n)
+
+
+@pytest.mark.parametrize("text, n", [
+    ("x - x", 1), ("x + y - x - y", 2), ("2*x - x - x + 0", 1),
+    ("1/2*x*y - 1/1*x*y + 1/2*y*x", 2), ("(x - y) - (x - y)", 2)])
+def test_sums_cancelling_to_zero(text, n):
+    assert parse_polynomial(text, n) == Polynomial.zero(n)
+    assert parse_polynomial(text, n) == oracle(False)(text, n)
+    assert parse_operator(text, n) == WeylOperator.zero(n)
+    mixed = f"dx + {text} - dx + x*dx - dx*x + 1"
+    assert parse_operator(mixed, n) == WeylOperator.zero(n)
+    assert parse_operator(mixed, n) == oracle(True)(mixed, n)
+
+
+def test_sum_of_two_thousand_terms():
+    rng = random.Random(61)
+    bits = []
+    for i in range(2000):
+        c = f"{rng.randint(1, 9)}/{rng.randint(1, 3)}"
+        mono = f"x^{rng.randint(0, 4)}*y^{rng.randint(0, 4)}"
+        d = rng.choice(["", "*dx", "*dy", "*dx*dy"])
+        bits.append(f"{rng.choice('+-')} {c}*{mono}{d}")
+    text = " ".join(bits)
+    assert parse_operator(text, 2) == oracle(True)(text, 2)
+    poly = text.replace("*dx", "").replace("*dy", "")
+    assert parse_polynomial(poly, 2) == oracle(False)(poly, 2)
+
+
+# one coefficient product of 2^20 = MAX_POWER_BITS bits passes: 2^524288
+# has 524,289 numerator and 1 denominator bits, 524,288 less the 2 of
+# ``_product_refusal``'s estimate
+@pytest.mark.parametrize("text, exponent, mono", [
+    ("2^524288*2^524288", 1048576, (0, 0)), ("1/2^524288*2^524288", 0, (0, 0)),
+    ("x*2^524288*y*2^524288", 1048576, (1, 1))])
+def test_single_term_product_at_the_bit_limit_parses(text, exponent, mono):
+    assert grammar.MAX_POWER_BITS == 1 << 20
+    for parse in (parse_polynomial, parse_operator):
+        got = parse(text, 2)
+        op = got if parse is parse_operator else \
+            WeylOperator.from_polynomial(got)
+        (beta, p), = op.terms.items()
+        (m, c), = p.terms.items()
+        assert (beta, m) == ((0, 0), mono)
+        assert c == 2 ** exponent
+
+
+# the refusal of one bit more, with the message and column of the general
+# path
+@pytest.mark.parametrize("text, col", [
+    ("2^524288*2^524289", 9), ("x*2^524288*2^524289", 11),
+    ("2^524289*x*2^524288", 11), ("(2^524288*x)*(2^524289*y)", 13)])
+def test_single_term_product_past_the_bit_limit_is_refused(text, col):
+    for parse in (parse_polynomial, parse_operator):
+        with pytest.raises(ParseError) as err:
+            parse(text, 2)
+        assert str(err.value) == (
+            "product too large: about 1.05e+06 bits per coefficient, the "
+            f"limit is 1048576 (line 1, column {col})")
+        assert (err.value.line, err.value.col) == (1, col)

@@ -5,15 +5,16 @@ from math import inf
 import pytest
 
 from logdiv.groebner import (FreeModuleVector, buchberger, codim, eliminate,
-                             gb_equal, graded_min_generators, ideal_gb,
-                             ideal_lift, ideal_member, ideal_quotient,
+                             gb_equal, gb_polys, graded_min_generators,
+                             ideal_gb, ideal_lift, ideal_member, ideal_quotient,
                              is_groebner_basis, local_membership_at_origin,
                              normal_form, syzygies, vector_lead_term)
 from logdiv import groebner
 from logdiv.grammar import parse_polynomial
-from logdiv.poly import Polynomial
+from logdiv.poly import DEGREVLEX, Polynomial, TopOrder
 
-from oracles import divmod_single, rand_homog_poly, rand_poly, span_membership
+from oracles import (divmod_single, rand_homog_poly, rand_poly,
+                     span_membership, textbook_buchberger)
 
 
 def P(s, n):
@@ -325,3 +326,44 @@ def test_returned_basis_satisfies_buchberger_criterion():
         gb = buchberger(gens)
         if gb.generators:
             assert is_groebner_basis(gb.generators, gb.order)
+
+
+# -- interreduction ------------------------------------------------------------
+
+def test_one_generator_basis_runs_no_tail_normal_form(monkeypatch):
+    # no lead divides a term below itself, so the one reducer of ideal_gb([f])
+    # is already reduced
+    calls = []
+    nf = groebner._Engine.normal_form
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return nf(self, *args, **kwargs)
+
+    monkeypatch.setattr(groebner._Engine, "normal_form", spy)
+    for text in ("x^3 + 2*x*y - 7*y^2 + 1", "3*x^2*y - 1/2*y^3 + x", "x"):
+        f = P(text, 2)
+        assert gb_polys(ideal_gb([f])) == [f * (Fraction(1) / f.lead_coeff())]
+    assert calls == []
+
+
+@pytest.mark.parametrize("texts, n", [
+    (["x^2 + y", "y"], 2),
+    (["x^3 + x*y + y^2", "x*y - z", "y^2 - z^2"], 3),
+    (["x^2*y + 3*x*z + 1", "x*z - y^2", "y^3 + 2"], 3)])
+def test_later_lead_dividing_an_earlier_tail_is_reduced(texts, n):
+    gens = [fmv(P(t, n)) for t in texts]
+    assert buchberger(gens).generators == \
+        textbook_buchberger(gens, TopOrder(DEGREVLEX))
+
+
+def test_lead_of_another_component_dividing_a_tail_is_reduced():
+    # (x^2, y) has lead x^2 e_1 and a tail term y e_2, which the lead of
+    # (0, y) divides
+    n = 2
+    zero = Polynomial.zero(n)
+    for gens in ([fmv(P("x^2", n), P("y", n)), fmv(zero, P("y", n))],
+                 [fmv(P("x^3 + y", n), P("x*y - 1", n)),
+                  fmv(zero, P("x + 2", n)), fmv(P("y^2", n), zero)]):
+        got = buchberger(gens).generators
+        assert got == textbook_buchberger(gens, TopOrder(DEGREVLEX))

@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -97,6 +101,37 @@ def test_euler_quasi_homogeneous_lift():
     chi = euler_field(f)
     assert chi is not None
     assert apply_op(chi, f) == f
+
+
+EULER_UNDER_O = """
+from logdiv import logder
+from logdiv.grammar import parse_polynomial
+from logdiv.poly import Polynomial
+
+assert not __debug__
+f = parse_polynomial(TEXT, 2)
+logder.apply_op = lambda chi, g: g + Polynomial.one(g.nvars)
+try:
+    logder.euler_field(f)
+except AssertionError as err:
+    print("raised:", err)
+else:
+    print("returned")
+"""
+
+
+@pytest.mark.parametrize("text", ["x^2*y + y^3", "y^2 - 2*x^3"])
+def test_euler_field_checks_its_image_under_python_O(text):
+    # ``python -O`` strips assert statements: the check chi(f) = f must
+    # still raise
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", EULER_UNDER_O.replace("TEXT", repr(text))],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("raised:"), run.stdout
+    assert "engine inconsistency" in run.stdout
 
 
 def test_non_euler_homogeneous_detected():

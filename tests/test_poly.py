@@ -7,9 +7,10 @@ import pytest
 
 from logdiv.poly import (DEGREVLEX, LEX, BlockElim, Polynomial, divide_exact,
                          integer_form, monomials_of_degree)
-from logdiv.grammar import ParseError, parse_polynomial
+from logdiv.grammar import ParseError, parse_operator, parse_polynomial
+from logdiv.weyl import WeylOperator, apply_op, compose
 
-from oracles import (divmod_single, iterated_partial, rand_poly,
+from oracles import (divmod_single, iterated_partial, rand_op, rand_poly,
                      recursive_monomials, schoolbook_mul)
 
 
@@ -138,11 +139,63 @@ def test_from_integers_inverts_integer_form():
         terms = list(zip(p.terms, ints))
         q = Polynomial.from_integers(n, terms, den)
         assert q == p
-        assert all(type(c) is Fraction for c in q.terms.values())
+        # an int exactly where den divides the integer, else its Fraction
+        for m, c in terms:
+            got = q.terms[m]
+            if c % den:
+                assert type(got) is Fraction and got == Fraction(c, den)
+            else:
+                assert type(got) is int and got == c // den
         # den = 1 reads the ints as they are
         assert Polynomial.from_integers(n, terms) == p * den
     assert Polynomial.from_integers(1, [((1,), BIG), ((0,), -BIG)], 3) == \
         Polynomial(1, {(1,): Fraction(BIG, 3), (0,): Fraction(-BIG, 3)})
+
+
+def _as_fractions(p):
+    """p with every coefficient a Fraction, integral ones too: the
+    representation the constructors used before integral coefficients
+    became ints."""
+    return Polynomial(p.nvars, {m: Fraction(c) for m, c in p.terms.items()},
+                      _clean=False)
+
+
+def _op_as_fractions(op):
+    return WeylOperator(op.nvars, {b: _as_fractions(q)
+                                   for b, q in op.terms.items()}, _clean=False)
+
+
+def test_int_and_fraction_coefficients_agree():
+    """Integral coefficients as ints or as Fractions give equal results
+    that print alike and parse back equal."""
+    rng = random.Random(37)
+    ints = 0
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        p, q = rand_poly(rng, n, 3, zero_ok=True), rand_poly(rng, n, 3)
+        q = q or Polynomial.variable(n, 0)
+        A, B = rand_op(rng, n, 2), rand_op(rng, n, 2)
+        i = rng.randrange(n)
+        beta = tuple(rng.randint(0, 2) for _ in range(n))
+        ints += sum(type(c) is int for c in p.terms.values())
+
+        def results(p, q, A, B):
+            return ([p + q, p - q, p * q, p ** 3, p.deriv(i), p.partial(beta),
+                     divide_exact(p * q, q), apply_op(A, p)],
+                    [compose(A, B), A + B, A - B])
+
+        polys, ops = results(p, q, A, B)
+        fpolys, fops = results(_as_fractions(p), _as_fractions(q),
+                               _op_as_fractions(A), _op_as_fractions(B))
+        assert all(type(c) is Fraction
+                   for c in _as_fractions(p).terms.values())
+        for got, want in zip(polys, fpolys):
+            assert got == want and repr(got) == repr(want)
+            assert parse_polynomial(repr(got), n) == want
+        for got, want in zip(ops, fops):
+            assert got == want and repr(got) == repr(want)
+            assert parse_operator(repr(got), n) == want
+    assert ints > 20
 
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "logdiv"

@@ -7,6 +7,7 @@ and ``torsion_test_symk`` reports what the tagged colon for every variable
 reports, witness for witness."""
 
 import dataclasses
+from fractions import Fraction
 from functools import cache
 
 import pytest
@@ -224,7 +225,7 @@ def colon_for_every_variable(sp, k):
             nf = normal_form(v, relgb)
             if not nf.is_zero():
                 _, key, lc = vector_lead_term(nf)
-                monic = nf.scale(1 / lc)
+                monic = nf.scale(Fraction(1) / lc)
                 cands.append(((key, repr(monic)), monic))
         if cands:
             witnesses.append((i, min(cands, key=lambda c: c[0])[1]))
