@@ -37,6 +37,8 @@ def monomials_of_degree(nvars: int, d: int):
     order: (d, 0, .., 0) first."""
     if d < 0:
         return []
+    if nvars == 1:
+        return [(d,)]
     out = []
     for combo in combinations_with_replacement(range(nvars), d):
         expo = [0] * nvars

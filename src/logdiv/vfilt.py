@@ -3,18 +3,19 @@ bases of the order-bounded pieces for homogeneous divisors, comparison with
 the subalgebra generated by logarithmic vector fields, and the reduction of
 V_k to V_0.
 
-Membership is decided by finitely many divisibility conditions
-P(x^alpha f^l) in O * f^(l-k) over |alpha| + l <= order(P); conditions with
-l - k <= 0 hold automatically and contribute nothing.  Graded bases exist
-for homogeneous f only, where each (order, weight) piece is a
-finite-dimensional exact linear algebra problem.
-
-A graded piece states the same conditions on the conjugated operator
-f^-l P f^l: with P = sum a_beta d^beta, P(x^alpha f^l) is
+P is in V_k iff P(x^alpha f^l) in f^(l-k) * O for the (alpha, l) of
+``_conditions``.  Membership and the graded pieces both state these
+conditions on the conjugated operator f^-l P f^l instead: with
+P = sum a_beta d^beta, Leibniz gives P(x^alpha f^l) =
 sum_{gamma <= alpha} alpha!/(alpha - gamma)! x^(alpha - gamma) E_gamma for
 E_gamma = sum_{beta >= gamma} C(beta, gamma) a_beta d^(beta - gamma)(f^l),
-and alpha! != 0, so the E_gamma in f^p * O over the same (gamma, l) cut
-out the same piece with fewer entries (``_condition_rows``).
+C(beta, gamma) = prod_i C(beta_i, gamma_i).  The coefficient of E_alpha is
+alpha! != 0, so by induction on |alpha| the conditions E_gamma in
+f^(l-k) * O over the same (gamma, l) decide the same, in O and in the local
+ring at 0.  The term beta = gamma, a_gamma f^l, lies in f^(l-k) * O for
+k >= 0 and is dropped there (``_DerivTable.conjugated``).  Graded bases
+exist for homogeneous f only, where each (order, weight) piece is a
+finite-dimensional exact linear algebra problem.
 
 A piece of V_0 is the kernel of integer condition rows A, and the piece
 generated by logarithmic vector fields is the span of word vectors G that
@@ -41,6 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, compress
 from math import comb, lcm, prod
+from operator import sub
 
 from . import linalg
 from .groebner import ideal_gb, ideal_member, local_membership_at_origin
@@ -78,32 +80,27 @@ def _deriv(terms, shift, mask):
 
 
 class _DerivTable:
-    """Packed integer images of x^alpha f^l under the d^beta, for one call.
+    """Packed integer powers of f and their derivatives, for one call.
 
     Monomials are ints with one slot per variable, each slot wide enough for
     ``degree``: an exponent of a monomial of degree <= degree is at most
     degree, so no sum of such monomials carries into the next slot and a
     monomial product is one int add.  ``power(p)`` is the integer terms of
-    fden^p * f^p, fden the ``integer_form`` scale of f.  ``table(alpha, l)``
-    maps each beta of ``betas``, and each beta on the way to it, to the
-    terms of fden^l * d^beta(x^alpha f^l); the entry of beta is one
-    derivative of the entry of beta - e_i, i its first nonzero."""
+    fden^p * f^p, fden the ``integer_form`` scale of f.  ``table(l)`` maps
+    delta to the terms of fden^l * d^delta(f^l), each made on first use by
+    ``conjugated`` as one derivative of the entry of delta - e_i, i its
+    first nonzero; an entry with |delta| > l*deg f is zero and never
+    stored."""
 
-    def __init__(self, f, betas, degree):
+    def __init__(self, f, degree):
         self.nvars = f.nvars
         self.bits = bits = max(degree, 1).bit_length()
         self.mask = (1 << bits) - 1
-        steps = {}
-        for beta in betas:
-            while any(beta) and beta not in steps:
-                i = next(j for j, x in enumerate(beta) if x)
-                parent = beta[:i] + (beta[i] - 1,) + beta[i + 1:]
-                steps[beta] = (parent, i * bits)
-                beta = parent
-        self.plan = sorted(steps.items(), key=lambda step: mono_deg(step[0]))
+        self.fdeg = f.degree()
         self.fint = [(self.pack(m), c) for m, c in
                      zip(f.terms, integer_form(f.terms.values())[1])]
         self.powers = [[(0, 1)]]
+        self.tables = {}
 
     def pack(self, m):
         bits = self.bits
@@ -125,36 +122,52 @@ class _DerivTable:
             powers.append([(m, c) for m, c in acc.items() if c])
         return powers[p]
 
-    def table(self, alpha, l):
-        shift = self.pack(alpha)
-        table = {(0,) * self.nvars: [(m + shift, c) for m, c in self.power(l)]}
-        for beta, (parent, s) in self.plan:
-            src = table[parent]
-            table[beta] = _deriv(src, s, self.mask) if src else []
-        return table
+    def table(self, l):
+        if l not in self.tables:
+            self.tables[l] = {(0,) * self.nvars: self.power(l)}
+        return self.tables[l]
+
+    def conjugated(self, l, k, beta, gamma):
+        """fden^l * C(beta, gamma) d^(beta - gamma)(f^l), the part of a_beta
+        in E_gamma at level l (module docstring), for reading only: empty
+        unless beta >= gamma, and at beta = gamma for k >= 0."""
+        delta = tuple(map(sub, beta, gamma))
+        if (min(delta) < 0 or k >= 0 and not any(delta)
+                or sum(delta) > l * self.fdeg):
+            return []
+        table, chain = self.table(l), []
+        while delta not in table:
+            i = next(j for j, x in enumerate(delta) if x)
+            chain.append((delta, i * self.bits))
+            delta = delta[:i] + (delta[i] - 1,) + delta[i + 1:]
+        terms = table[delta]
+        for delta, shift in reversed(chain):
+            terms = table[delta] = (_deriv(terms, shift, self.mask)
+                                    if terms else [])
+        binom = prod(map(comb, beta, gamma))
+        return terms if binom == 1 else [(m, binom * c) for m, c in terms]
 
 
 def v_membership(f: Polynomial, P: WeylOperator, k: int) -> bool:
-    """Decide P in V_k along the divisor f: P(x^alpha f^l) in O * f^(l-k)
-    for each (alpha, l) of ``_conditions`` at order(P).  A constant f is
-    an ``InvalidDivisor`` and an operator over another ring a
-    ``ValueError``, also when P = 0.
+    """Decide P in V_k along the divisor f: E_gamma in O * f^(l-k) for
+    each (gamma, l) of ``_conditions`` at order(P), E_gamma as in the
+    module docstring.  A constant f is an ``InvalidDivisor`` and an
+    operator over another ring a ``ValueError``, also when P = 0.
 
     If f(0) != 0, each f^p is a unit at the origin.  Else a nonzero
-    multiple of f^p has order >= p * ord(f) there, so a smaller image fails
-    before f^p is formed: p <= deg g at any level k.
+    multiple of f^p has order >= p * ord(f) there, so a smaller E_gamma
+    fails before f^p is formed: p <= deg g at any level k.
     For homogeneous f, membership in f^p * O_0 is membership in (f^p);
     otherwise membership in (f^p) implies it, and the local test runs only
-    for images outside (f^p).
+    for the E_gamma outside (f^p).
 
-    The images are integer multiples pden * fden^l * P(x^alpha f^l), pden
-    and fden the ``integer_form`` scales of P and f, summed over a
-    ``_DerivTable`` whose slots fit every image term and every power f^p it
-    forms.  An image has degree <= top, |alpha| + l*deg f plus the largest
-    degree of P's coefficients at l = order(P), alpha = 0.  The order test
-    forms f^p only for p*ord(f) <= top, and p <= order(P) - k; for
-    non-homogeneous f, p*deg f can exceed top.  Scaling an image leaves its
-    membership alone."""
+    Each E_gamma is summed as the integer multiple pden * fden^l * E_gamma,
+    pden and fden the ``integer_form`` scales of P and f, over a
+    ``_DerivTable`` whose slots fit every term and every power f^p it
+    forms.  An E_gamma has degree <= top, l*deg f plus the largest degree
+    of P's coefficients at l = order(P).  The order test forms f^p only
+    for p*ord(f) <= top, and p <= order(P) - k; for non-homogeneous f,
+    p*deg f can exceed top.  Scaling leaves membership alone."""
     require_divisor(f)
     if P.nvars != f.nvars:
         raise ValueError("ring dimension mismatch")
@@ -164,25 +177,24 @@ def v_membership(f: Polynomial, P: WeylOperator, k: int) -> bool:
     coeffs = P.terms.values()
     e, ford = f.degree(), min(map(mono_deg, f.terms))
     top = order * e + max(mono_deg(m) for c in coeffs for m in c.terms)
-    images = _DerivTable(f, P.terms, max(top, min(order - k, top // ford) * e))
-    pint = [(beta, [(images.pack(m), c) for m, c in terms])
+    derivs = _DerivTable(f, max(top, min(order - k, top // ford) * e))
+    pint = [(beta, [(derivs.pack(m), c) for m, c in terms])
             for beta, terms in _integer_terms(P)]
     gbs = {}
-    for alpha, l in _conditions(f.nvars, order, k):
+    for gamma, l in _conditions(f.nvars, order, k):
         p = l - k
-        table = images.table(alpha, l)
         acc = {}
         for beta, coeff in pint:
-            for m1, c1 in table[beta]:
+            for m1, c1 in derivs.conjugated(l, k, beta, gamma):
                 for m2, c2 in coeff:
                     acc[m1 + m2] = acc.get(m1 + m2, 0) + c1 * c2
-        g = images.polynomial(acc.items())
+        g = derivs.polynomial(acc.items())
         if g.is_zero():
             continue
         if min(map(mono_deg, g.terms)) < p * ford:
             return False
         if p not in gbs:
-            gbs[p] = ideal_gb([images.polynomial(images.power(p))])
+            gbs[p] = ideal_gb([derivs.polynomial(derivs.power(p))])
         gb = gbs[p]
         if not ideal_member(g, gb) and (
                 f.is_homogeneous() or not local_membership_at_origin(g, gb)):
@@ -304,29 +316,22 @@ def _condition_rows(f, coords, d, k):
     """Integer rows whose kernel is the (d, w) piece of V_k, k >= 0, over
     the coordinate columns in reverse order.
 
-    Write P = sum_beta a_beta d^beta.  By Leibniz, P(x^alpha f^l) is
-    sum_{gamma <= alpha} alpha!/(alpha - gamma)! x^(alpha - gamma) E_gamma,
-    with E_gamma = sum_{beta >= gamma} C(beta, gamma) a_beta
-    d^(beta - gamma)(f^l) and C(beta, gamma) = prod_i C(beta_i, gamma_i).
-    The coefficient of E_alpha is alpha! != 0, so by induction on |alpha|
-    the conditions P(x^alpha f^l) in f^p * O, p = l - k, for the (alpha, l)
-    of ``_conditions`` hold iff E_gamma in f^p * O does for the same index
-    set: the kernel is the same.  The term beta = gamma, a_gamma f^l, lies
-    in f^p * O already, so condition (gamma, l) has entries only in the
-    columns with beta > gamma.
+    The conditions are E_gamma in f^p * O, p = l - k, for the (gamma, l)
+    of ``_conditions`` (module docstring).  For k >= 0 the term beta =
+    gamma drops, so condition (gamma, l) has entries only in the columns
+    with beta > gamma.
 
     A condition contributes one row per target monomial of degree
     t = |gamma| + l*deg f + w: the images of the coordinate columns reduced
     against the rref of the f^p multiples of degree t.  That block depends
     on (p, t) only, so it is built once per key and shared by every gamma
-    of the call.  The derivatives d^delta(f^l), |delta| <= d, come from one
-    ``_DerivTable`` table per level l, whose slots fit the largest degree of
-    the call, max(t, l*deg f), so the target of mono * d^delta-term is one
-    int add.  The reduction runs in integers.  Each condition's rows are
-    scaled as a whole: by the common denominator of the block's rref (the
-    lcm of its integer rows' pivot entries), and by fden^l, since the table
-    holds fden^l times the derivatives, fden the ``integer_form`` scale of
-    f.  Scaling rows leaves the kernel alone."""
+    of the call.  The E_gamma terms come from ``_DerivTable.conjugated``,
+    whose slots fit the largest degree of the call, max(t, l*deg f), so the
+    target of mono * term is one int add.  The reduction runs in integers.
+    Each condition's rows are scaled as a whole: by the common denominator
+    of the block's rref (the lcm of its integer rows' pivot entries), and
+    by fden^l, since the table holds fden^l times the derivatives, fden the
+    ``integer_form`` scale of f.  Scaling rows leaves the kernel alone."""
     n, e, w = f.nvars, f.degree(), coords.w
     conds = [(gamma, l, mono_deg(gamma) + l * e + w)
              for gamma, l in _conditions(n, d, k)]
@@ -335,13 +340,11 @@ def _condition_rows(f, coords, d, k):
     for beta, mono in coords.cols:
         groups.setdefault(beta, []).append(mono)
     # below weight 0, f^l (degree t - |gamma| - w) is the largest
-    images = _DerivTable(f, [m for j in range(d + 1)
-                             for m in monomials_of_degree(n, j)],
-                         max([0] + [t - min(w, 0) for _, _, t in conds]))
-    pack = images.pack
+    derivs = _DerivTable(f, max([0] + [t - min(w, 0) for _, _, t in conds]))
+    pack = derivs.pack
     groups = {beta: [pack(m) for m in monos] for beta, monos in groups.items()}
 
-    blocks, tables = {}, {}
+    blocks = {}
 
     def block(p, t):
         """Per target monomial of degree t, the (row, coefficient) pairs
@@ -351,7 +354,7 @@ def _condition_rows(f, coords, d, k):
         tmonos = [pack(m) for m in monomials_of_degree(n, t)]
         sub = []
         if t - p * e >= 0:
-            fp = images.power(p)
+            fp = derivs.power(p)
             tindex = {m: i for i, m in enumerate(tmonos)}
             for m in monomials_of_degree(n, t - p * e):
                 vec = [0] * len(tmonos)
@@ -387,18 +390,13 @@ def _condition_rows(f, coords, d, k):
         if key not in blocks:
             blocks[key] = block(*key)
         nfree, action = blocks[key]
-        if l not in tables:
-            tables[l] = images.table((0,) * n, l)
-        table = tables[l]
         zero = [0] * nfree
         residuals = []
         for beta, pmonos in groups.items():
-            delta = tuple(b - g for b, g in zip(beta, gamma))
-            if min(delta) < 0 or not any(delta):
+            terms = derivs.conjugated(l, k, beta, gamma)
+            if not terms:
                 residuals.extend([zero] * len(pmonos))
                 continue
-            binom = prod(map(comb, beta, gamma))
-            terms = [(m, binom * c) for m, c in table[delta]]
             for pm in pmonos:
                 res = [0] * nfree
                 for m, c in terms:

@@ -1,6 +1,10 @@
 import hashlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout, redirect_stderr
 
@@ -400,6 +404,18 @@ def test_v0_member_at_very_negative_levels(f, P, k, member):
     data = invoke_json(["v0-member", "-f", f, "-P", P, "-k", str(k)])
     assert time.perf_counter() - start < 2
     assert data["member"] is member
+
+
+def test_v0_member_of_large_order_answers():
+    # about 10^5 conditions on f = x, each with at most one derivative of x
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-m", "logdiv.cli", "v0-member", "-f", "x", "-P",
+         "dx^100000", "--json"],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["member"] is False
 
 
 def test_vk_basis_far_below_zero_is_empty_and_fast():

@@ -235,6 +235,73 @@ def test_v_member_matches_fraction_oracle():
     assert v_member(P("x+x^2", 2), OP("x^3", 2), -3)
 
 
+def test_v_member_matches_alpha_oracle_up_to_order_three(monkeypatch):
+    """The E_gamma conditions decide as the oracle's P(x^alpha f^l) ones at
+    levels -2..2 on operators of order <= 3: in (f^p) for homogeneous f,
+    and through the local ring for non-homogeneous f.  Below level 0 the
+    term a_gamma f^l decides too: a constant is outside V_(-1)."""
+    rng = random.Random(31)
+    local = []
+    real = vfilt.local_membership_at_origin
+
+    def spy(g, gb):
+        local.append(real(g, gb))
+        return local[-1]
+
+    monkeypatch.setattr(vfilt, "local_membership_at_origin", spy)
+    answers = set()
+    for f, unit in ((NC2, None), (P("x^2*y+y^3", 2), None),
+                    (P("y^2-x^2+x^3", 2), None),
+                    (P("x*(1+x)", 2), P("1+x", 2))):
+        theta = log_derivations(f).operators()
+        ops = [_random_operator(rng, 2, rng.randint(0, 3)) for _ in range(5)]
+        ops += [op.left_mul(f) for op in ops[:2]]
+        one = WeylOperator.constant(2, 1)
+        ops += [compose(theta[0], theta[-1]),
+                compose(theta[-1], theta[0]).left_mul(f),
+                one, one.left_mul(f * f)]
+        for op in ops:
+            for k in range(-2, 3):
+                got = v_member(f, op, k)
+                assert got == _oracle_v_member(f, op, k, unit), (f, op, k)
+                answers.add((got, k < 0))
+    assert answers == {(a, b) for a in (True, False) for b in (True, False)}
+    assert True in local and False in local
+
+
+def test_v_member_takes_each_derivative_once(monkeypatch):
+    """Example 9's Q reads its E_gamma off one table per level: at most 10
+    derivative steps on the quintic."""
+    calls = []
+    real = vfilt._deriv
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(vfilt, "_deriv", spy)
+    arr, Q = example9_objects()
+    assert v_member(arr.f, Q, 0)
+    assert 0 < len(calls) <= 10
+
+
+def test_v_member_of_large_order_stores_no_zero_derivative(monkeypatch):
+    """d^delta(x) vanishes for |delta| > 1: the level-1 table of dx^100000
+    on f = x holds nothing past degree 1."""
+    made = []
+
+    class Spy(vfilt._DerivTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(vfilt, "_DerivTable", Spy)
+    assert not v_member(P("x", 1), OP("dx^100000", 1), 0)
+    (derivs,) = made
+    assert 1 in derivs.tables
+    assert all(sum(delta) <= 1 for delta in derivs.tables[1])
+
+
 @pytest.mark.parametrize("op", [OP("x*dx + dz", 3), OP("dx", 1),
                                 WeylOperator.zero(3)])
 @pytest.mark.parametrize("f", [NC2, P("1+x*y", 2)])
