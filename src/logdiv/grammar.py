@@ -12,23 +12,25 @@ terms into one term map, and a product of two single-term polynomials
 (``3*x``, ``x*y``) is one coefficient product and one exponent add.  The
 parser round-trips the printers in ``poly`` and ``weyl``.
 
-A power ``p^k`` is refused with a ``ParseError`` when its estimated cost,
-taken from p's terms before anything is expanded, exceeds
-``MAX_POWER_BITS`` or ``MAX_POWER_WORK`` (``_power_refusal``).  A power of a
-single commuting term with coefficient 1, such as ``x^1000000`` or
-``dx^1000000000``, is one step and always parses.  A product ``a*b`` is
-refused when its estimated coefficient length or work exceeds the same
-limits (``_product_refusal``).  Literals, exponents and variable indices
-may have any number of digits.
+A product ``a*b`` is refused with a ``ParseError`` when its estimated
+coefficient length or work, taken from its two operands, exceeds
+``MAX_POWER_BITS`` or ``MAX_POWER_WORK`` (``_product_refusal``).  A power
+``p^k`` is the products it performs: a power of one term c*x^a or c*d^b,
+c constant, such as ``x^1000000``, ``3^1000`` or ``dx^1000000000``, is
+one step, refused when k*log2 of c's numerator and denominator exceeds
+``MAX_POWER_BITS``; any other power squares and multiplies
+(``poly.power``), and each of its products is judged as a ``*`` is, so
+the first one past a limit refuses the power at its exponent.  Literals,
+exponents and variable indices may have any number of digits.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb, log2, prod
+from math import log2, prod
 
-from .poly import Polynomial, integer_form, mono_mul, parse_int
+from .poly import Polynomial, mono_mul, parse_int, power
 from .weyl import WeylOperator, compose
 
 
@@ -47,13 +49,15 @@ _OPS = set("+-*^/()")
 _TOKEN = re.compile(r"\n|[^\S\n]+|[-+*^/()]|[0-9]+|\w+|.", re.S)
 
 MAX_POWER_BITS = 1 << 20
-"""Largest estimated bit length of a coefficient of a power or product."""
+"""Largest estimated bit length of a coefficient of a product, or of a
+power of one term."""
 
 MAX_POWER_WORK = 1 << 18
-"""Largest estimated work of a power or product: the coefficient products
-of its (last) multiplication, weighted by coefficient length and, in the
-Weyl algebra, by the Leibniz terms of a product (``_power_refusal``,
-``_product_refusal``).  At the limit a power takes about a second."""
+"""Largest estimated work of one product, written or made by a power: its
+coefficient products, weighted by coefficient length and, in the Weyl
+algebra, by the Leibniz terms of a term product (``_product_refusal``).
+At the limit a product, or a power whose last product is at it, takes
+about a second."""
 
 
 def _tokenize(text):
@@ -130,8 +134,8 @@ def _lift(value):
 
 def _mul(a, b, tok):
     """Weyl product of two parsed values, each a polynomial or an operator;
-    a ``ParseError`` at the ``*`` token ``tok`` if ``_product_refusal``
-    refuses it."""
+    a ``ParseError`` at ``tok`` if ``_product_refusal`` refuses it, a
+    "product" at a ``*`` token and a "power" at an exponent."""
     if (isinstance(a, Polynomial) and isinstance(b, Polynomial) and
             len(a.terms) == 1 == len(b.terms)):
         # one coefficient product: its work is within the limit, its bits
@@ -148,23 +152,15 @@ def _mul(a, b, tok):
         leibniz = not all(q.is_constant() for q in b.terms.values())
     refusal = _product_refusal(a, b, leibniz)
     if refusal:
-        raise ParseError(refusal, tok[2], tok[3])
+        noun = "product" if tok[0] == "*" else "power"
+        raise ParseError(f"{noun} too large: {refusal}", tok[2], tok[3])
     if isinstance(a, Polynomial):
         return a * b if isinstance(b, Polynomial) else b.left_mul(a)
     return compose(a, b) if leibniz else a.right_mul(b)
 
 
-def _terms(value):
-    """(monomial, coefficient) pairs of a polynomial, or (x-exponents +
-    d-exponents, coefficient) pairs of an operator."""
-    if isinstance(value, Polynomial):
-        return value.terms.items()
-    return [(m + b, c) for b, p in value.terms.items()
-            for m, c in p.terms.items()]
-
-
 def _coefficients(value):
-    """The coefficients of ``_terms(value)``, without their monomials."""
+    """The coefficients of a polynomial or an operator."""
     if isinstance(value, Polynomial):
         return value.terms.values()
     return [c for p in value.terms.values() for c in p.terms.values()]
@@ -177,8 +173,8 @@ def _bits(c):
 
 
 def _product_refusal(a, b, leibniz):
-    """Why a*b is refused, or None, judged as ``_power_refusal`` judges the
-    last multiplication of a power.  A coefficient of a*b has about bits =
+    """Why a*b is refused, or None, judged from the operands before
+    anything is multiplied.  A coefficient of a*b has about bits =
     log2|c_a| + log2|c_b| (numerators and denominators, each operand's
     largest) bits, and for a Weyl composition (``leibniz``) its c = sum(m_i)
     contractions, m_i = min(d_i-degree of a, x_i-degree of b), add
@@ -199,58 +195,17 @@ def _product_refusal(a, b, leibniz):
         bits += c * log2(c) if c > 1 else 0
         terms = prod(1 + m for m in mins)
     if bits > MAX_POWER_BITS:
-        return (f"product too large: about {bits:.3g} bits per coefficient, "
-                f"the limit is {MAX_POWER_BITS}")
+        return _too_many_bits(bits)
     work = len(ca) * len(cb) * (1 + bits / 256) * terms
     if work > MAX_POWER_WORK:
-        return (f"product too large: estimated work {work:.3g}, the limit "
-                f"is {MAX_POWER_WORK}")
+        return f"estimated work {work:.3g}, the limit is {MAX_POWER_WORK}"
     return None
 
 
-def _power_refusal(base, k):
-    """Why base^k is refused, or None: estimates taken from base's t terms
-    without expanding the power.
-
-    Write base = q/L with q integral, L the lcm of the denominators and
-    N = |q|_1.  A coefficient of a commuting power has at most
-    k*log2(N*L) bits.  In the Weyl algebra, x_i and d_i can contract in
-    up to m_i = min(deg_x_i, deg_d_i) pairs per factor; c = k*sum(m_i)
-    contractions add about c*log2(c) bits.  base^j has at most
-    prod(j*deg + 1) terms, one slot per x_i- and d_i-exponent, and about
-    C(j + t - 1, t - 1) choices of factors times prod(1 + j*m_i/t)
-    contractions (a term of base^j has about j/t factors of each term of
-    base).  The work is the coefficient products of the last
-    multiplication, base^(k//2) * base^(k - k//2), weighted by
-    1 + bits/256 for long coefficients and by the Leibniz terms of a Weyl
-    product, about 1 + c/(2t) each."""
-    # past 2^64 only powers of a term +-x^a*d^b without contractions pass,
-    # as at 2^64
-    k = min(k, 1 << 64)
-    terms = list(_terms(base))
-    t, n = len(terms), base.nvars
-    degs = [max(col) for col in zip(*(m for m, _ in terms))]
-    mins = [min(a, b) for a, b in zip(degs[:n], degs[n:])]
-    den, ints = integer_form(_coefficients(base))
-    norm = sum(map(abs, ints))
-    c = k * sum(mins)
-    bits = ((k * log2(norm * den) if norm * den > 1 else 0) +
-            (c * log2(c) if c > 1 else 0))
-    if bits > MAX_POWER_BITS:
-        return (f"power too large: about {bits:.3g} bits per coefficient, "
-                f"the limit is {MAX_POWER_BITS}")
-
-    def count(j):
-        grid = prod(j * d + 1 for d in degs)
-        return min(grid, comb(j + t - 1, t - 1) *
-                   prod(1 + j * m / t for m in mins))
-
-    work = (count(k // 2) * count(k - k // 2) * (1 + bits / 256) *
-            (1 + c / (2 * t)))
-    if work > MAX_POWER_WORK:
-        return (f"power too large: estimated work {work:.3g}, the limit is "
-                f"{MAX_POWER_WORK}")
-    return None
+def _too_many_bits(bits):
+    """The refusal of a coefficient of about ``bits`` bits."""
+    return (f"about {bits:.3g} bits per coefficient, the limit is "
+            f"{MAX_POWER_BITS}")
 
 
 class _Parser:
@@ -330,21 +285,29 @@ class _Parser:
         return self.power()
 
     def power(self):
-        # a power of a variable or derivative is one step, unchecked
-        named = self.peek()[0] == "NAME"
         base = self.atom()
-        if self.peek()[0] == "^":
-            self.next()
-            tok = self.next()
-            if tok[0] != "INT":
-                self.error("exponent must be a nonnegative integer", tok)
-            k = parse_int(tok[1])
-            refusal = (not named and k > 1 and not base.is_zero() and
-                       _power_refusal(base, k))
-            if refusal:
-                self.error(refusal, tok)
+        if self.peek()[0] != "^":
+            return base
+        self.next()
+        tok = self.next()
+        if tok[0] != "INT":
+            self.error("exponent must be a nonnegative integer", tok)
+        k = parse_int(tok[1])
+        if k < 2:  # base^0 = 1 and base^1 = base perform no product
             return base ** k
-        return base
+        # one term c*x^a or c*d^b, c constant, is one step; past 2^64 only
+        # c = +-1 passes, as at 2^64
+        (c,) = base.terms.values() if len(base.terms) == 1 else (None,)
+        if isinstance(c, Polynomial):  # an operator's: one step if constant
+            c = c.terms.get((0,) * self.nvars) if len(c.terms) == 1 else None
+        if c is None:
+            return power(base, k, Polynomial.one(self.nvars),
+                         lambda a, b: _mul(a, b, tok))
+        if c not in (1, -1):
+            bits = min(k, 1 << 64) * log2(abs(c.numerator) * c.denominator)
+            if bits > MAX_POWER_BITS:
+                self.error(f"power too large: {_too_many_bits(bits)}", tok)
+        return base ** k
 
     def atom(self):
         tok = self.next()

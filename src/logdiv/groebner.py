@@ -87,13 +87,6 @@ class FreeModuleVector:
         return FreeModuleVector(tuple(a + b for a, b in
                                       zip(self.components, other.components)))
 
-    def __sub__(self, other):
-        return FreeModuleVector(tuple(a - b for a, b in
-                                      zip(self.components, other.components)))
-
-    def __neg__(self):
-        return FreeModuleVector(tuple(-a for a in self.components))
-
     def scale(self, c):
         return FreeModuleVector(tuple(a * c for a in self.components))
 

@@ -270,14 +270,15 @@ def test_non_ascii_digits_are_cli_parse_errors():
         assert f"(line {line}, column {col})" in err
 
 
-# each estimate is far past a limit: bits per coefficient for the constant
-# powers, work for the sums and the Weyl power
+# each is far past a limit: bits per coefficient for the constant powers;
+# for the sums and the Weyl powers, work at the first product of the chain
+# that passes a limit
 OVERSIZED_POWERS = [
     ("3^4000000", 1, "bits"), ("3^1000000000", 1, "bits"),
     ("(3*dx)^1000000000", 1, "bits"), ("(x + 1)^800", 1, "work"),
     ("((x + 1)^200)^4", 1, "work"), ("(x + y + z + 1)^1000", 3, "work"),
     ("(x*dx)^1000", 1, "work"), ("1 +\n (dx + x)^1000", 1, "work"),
-    ("(x + 1)^" + "9" * 400, 1, "bits"), ("(x*dx)^" + "9" * 400, 1, "bits"),
+    ("(x + 1)^" + "9" * 400, 1, "work"), ("(x*dx)^" + "9" * 400, 1, "work"),
 ]
 
 
@@ -305,6 +306,65 @@ def test_oversized_power_names_the_exponent():
     with pytest.raises(ParseError) as err:
         parse_operator("1 +\n (dx + x)^1000", 1)
     assert (err.value.line, err.value.col) == (2, 11)
+
+
+# powers whose every product is within the limits parse, each checked
+# against k successive products
+@pytest.mark.parametrize("base, k, n", [
+    ("dx + x", 30, 1), ("dx + x", 40, 1), ("x*dy + dx - y", 12, 2),
+    ("x + 1", 600, 1)])
+def test_powers_within_the_product_limits_parse(base, k, n):
+    start = time.perf_counter()
+    op = parse_operator(f"({base})^{k}", n)
+    assert time.perf_counter() - start < 1
+    factor = parse_operator(base, n)
+    expected = WeylOperator.constant(n, 1)
+    for _ in range(k):
+        expected = weyl.compose(expected, factor)
+    assert op == expected
+    if "d" not in base:
+        factor, expected = parse_polynomial(base, n), Polynomial.one(n)
+        for _ in range(k):
+            expected = expected * factor
+        assert parse_polynomial(f"({base})^{k}", n) == expected
+
+
+# every product of the square-and-multiply chain is judged, so a power is
+# refused at its first product past a limit, at once and at its exponent
+@pytest.mark.parametrize("base, n", [
+    ("(x + 1)", 1), ("(x + y + z + 1)", 3), ("(x*dx)", 1), ("(dx + x)", 1),
+    ("(x*dy + dx - y)", 2), ("(1/3*x + 2/5)", 1), ("(1 + x^2 + 3*x^5)", 1)])
+def test_power_chains_are_refused_within_a_second(base, n):
+    exponents = sorted({*range(2, 71), 2 ** 40 - 1, 10 ** 400 - 1,
+                        *(2 ** j + d for j in range(1, 13) for d in (-1, 1))})
+    limits = (f"the limit is {grammar.MAX_POWER_BITS}",
+              f"the limit is {grammar.MAX_POWER_WORK}")
+    for k in exponents:
+        start = time.perf_counter()
+        try:
+            parse_operator(f"{base}^{k}", n)
+        except ParseError as err:
+            assert time.perf_counter() - start < 1, k
+            assert "power too large" in str(err) and any(
+                limit in str(err) for limit in limits), str(err)
+            assert (err.line, err.col) == (1, len(base) + 2)
+
+
+def test_powers_without_products_keep_the_bits_rule():
+    for text, bits in (("3^1000000", "1.58e+06"), ("2^1048577", "1.05e+06")):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, 1)
+        assert str(err.value) == (
+            f"power too large: about {bits} bits per coefficient, the limit "
+            "is 1048576 (line 1, column 3)")
+    assert parse_polynomial("2^1048576", 1) == 2 ** 1048576
+    (c,) = parse_polynomial("(2*x)^1048576", 1).terms.values()
+    assert c == 2 ** 1048576
+    # base^0 and base^1 perform no product, whatever base's coefficients
+    big = "9" * 320000
+    assert (parse_polynomial(f"(x + {big})^1", 1) ==
+            parse_polynomial(f"x + {big}", 1))
+    assert parse_polynomial(f"(x + {big})^0", 1) == 1
 
 
 @pytest.mark.parametrize("text, n", [
