@@ -17,6 +17,37 @@ k >= 0 and is dropped there (``_DerivTable.conjugated``).  Graded bases
 exist for homogeneous f only, where each (order, weight) piece is a
 finite-dimensional exact linear algebra problem.
 
+Above p = l - k = 1 a condition is needed only modulo f: for k >= 0, once
+every condition of a lower level holds, E_gamma in f^p * O is read off the
+target monomials that L^(p-1) divides, L = max(f.terms) the lex-leading
+monomial of f.  Here E_gamma keeps its term beta = gamma; dropping it
+changes E_gamma by a_gamma f^l, which lies in f^p * O.  For an operator of
+order <= d:
+(1) P f^l = (P f^(l-1)) f gives E_delta(l) = sum_{gamma >= delta}
+    C(gamma, delta) d^(gamma - delta)(f) E_gamma(l-1).
+(2) Faa di Bruno gives d^mu(f^l) = sum_r (l)_r f^(l-r) Q_(mu, r), (l)_r the
+    falling factorial, Q_(mu, r) free of l and zero for r > |mu|.  So
+    E_gamma(l) = sum_{r <= R} (l)_r f^(l-r) B_r, R = d - |gamma|, with
+    B_r free of l, and its conditions E_gamma(j) in f^(j-k) * O,
+    k < j <= R, say sum_{r <= j} (j)_r B_r / f^r in f^-k * O.  That holds
+    for j <= k anyway, and the system is triangular with (j)_j = j! != 0:
+    every B_r / f^r lies in f^-k * O, so E_gamma(m) is in f^(m-k) * O at
+    every level m.
+(3) If every condition below level l holds, each E_gamma(l-1) is in
+    f^(p-1) * O: by its own condition when |gamma| <= d - l + 1, by (2)
+    otherwise, all its levels lying below l.  By (1) so is E_delta(l).
+(4) The reduced image of E_delta(l) against the f^p block differs from it
+    by an element of f^p * O, so it is f^(p-1) h, with h = 0 exactly when
+    E_delta(l) is in f^p * O.  For h != 0 its lex lead L^(p-1) lm(h) is
+    one of its terms, at a free monomial that L^(p-1) divides.
+By induction on l, the rows at those monomials cut out the same kernel.
+The block's columns run in descending lex order (``monomials_of_degree``),
+so its pivots are the leads L^p m of the f^p multiples, and the kept
+monomials L^(p-1) m, m not a multiple of L, are exactly as many as the
+dimension of O/(f) in that degree.  The lead of f in another term order
+(the lex-smallest term, say) would cut out the same kernel, with more
+rows.
+
 A piece of V_0 is the kernel of integer condition rows A, and the piece
 generated by logarithmic vector fields is the span of word vectors G that
 lie in it.  ``compare_v0`` proves them equal without an rref: modulo one
@@ -42,7 +73,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, compress
 from math import comb, lcm, prod
-from operator import sub
+from operator import le, sub
 
 from . import linalg
 from .groebner import ideal_gb, ideal_member, local_membership_at_origin
@@ -65,10 +96,14 @@ def _integer_terms(op):
     return [(beta, list(zip(p.terms, ints))) for beta, p in op.terms.items()]
 
 
-def _conditions(nvars, order, level):
-    """All (alpha, l) with |alpha| + l <= order and l - level >= 1."""
+def _conditions(nvars, order, level, least=0, fdeg=0):
+    """All (alpha, l) with |alpha| + l <= order, l - level >= 1 and
+    |alpha| >= least - l*fdeg.  With least the smallest |beta| of an
+    operator and fdeg = deg f, the pairs left out have E_alpha = 0 at
+    level l: each d^(beta - alpha)(f^l) in it differentiates f^l more
+    than l*deg f times."""
     for l in range(max(level + 1, 0), order + 1):
-        for adeg in range(order - l + 1):
+        for adeg in range(max(least - l * fdeg, 0), order - l + 1):
             for alpha in monomials_of_degree(nvars, adeg):
                 yield alpha, l
 
@@ -167,7 +202,10 @@ def v_membership(f: Polynomial, P: WeylOperator, k: int) -> bool:
     forms.  An E_gamma has degree <= top, l*deg f plus the largest degree
     of P's coefficients at l = order(P).  The order test forms f^p only
     for p*ord(f) <= top, and p <= order(P) - k; for non-homogeneous f,
-    p*deg f can exceed top.  Scaling leaves membership alone."""
+    p*deg f can exceed top.  Scaling leaves membership alone.  The scan
+    starts each level at the first |gamma| whose E_gamma can be nonzero,
+    min |beta| - l*deg f, so an operator of huge order with no term of
+    low order is decided at its first conditions."""
     require_divisor(f)
     if P.nvars != f.nvars:
         raise ValueError("ring dimension mismatch")
@@ -181,7 +219,8 @@ def v_membership(f: Polynomial, P: WeylOperator, k: int) -> bool:
     pint = [(beta, [(derivs.pack(m), c) for m, c in terms])
             for beta, terms in _integer_terms(P)]
     gbs = {}
-    for gamma, l in _conditions(f.nvars, order, k):
+    for gamma, l in _conditions(f.nvars, order, k,
+                                min(map(mono_deg, P.terms)), e):
         p = l - k
         acc = {}
         for beta, coeff in pint:
@@ -321,17 +360,21 @@ def _condition_rows(f, coords, d, k):
     gamma drops, so condition (gamma, l) has entries only in the columns
     with beta > gamma.
 
-    A condition contributes one row per target monomial of degree
-    t = |gamma| + l*deg f + w: the images of the coordinate columns reduced
-    against the rref of the f^p multiples of degree t.  That block depends
-    on (p, t) only, so it is built once per key and shared by every gamma
-    of the call.  The E_gamma terms come from ``_DerivTable.conjugated``,
-    whose slots fit the largest degree of the call, max(t, l*deg f), so the
-    target of mono * term is one int add.  The reduction runs in integers.
-    Each condition's rows are scaled as a whole: by the common denominator
-    of the block's rref (the lcm of its integer rows' pivot entries), and
-    by fden^l, since the table holds fden^l times the derivatives, fden the
-    ``integer_form`` scale of f.  Scaling rows leaves the kernel alone."""
+    A condition contributes one row per free target monomial of degree
+    t = |gamma| + l*deg f + w that L^(p-1) divides, L = max(f.terms): the
+    images of the coordinate columns reduced against the rref of the f^p
+    multiples of degree t.  At p = 1 that is every free monomial; above it
+    the lower levels already put E_gamma in f^(p-1) * O, where those
+    monomials decide (module docstring), so the other rows are never
+    built.  That block depends on (p, t) only, so it is built once per key
+    and shared by every gamma of the call.  The E_gamma terms come from
+    ``_DerivTable.conjugated``, whose slots fit the largest degree of the
+    call, max(t, l*deg f), so the target of mono * term is one int add.
+    The reduction runs in integers.  Each condition's rows are scaled as a
+    whole: by the common denominator of the block's rref (the lcm of its
+    integer rows' pivot entries), and by fden^l, since the table holds
+    fden^l times the derivatives, fden the ``integer_form`` scale of f.
+    Scaling rows leaves the kernel alone."""
     n, e, w = f.nvars, f.degree(), coords.w
     conds = [(gamma, l, mono_deg(gamma) + l * e + w)
              for gamma, l in _conditions(n, d, k)]
@@ -343,6 +386,7 @@ def _condition_rows(f, coords, d, k):
     derivs = _DerivTable(f, max([0] + [t - min(w, 0) for _, _, t in conds]))
     pack = derivs.pack
     groups = {beta: [pack(m) for m in monos] for beta, monos in groups.items()}
+    lead = max(f.terms)
 
     blocks = {}
 
@@ -350,8 +394,10 @@ def _condition_rows(f, coords, d, k):
         """Per target monomial of degree t, the (row, coefficient) pairs
         that subtract its reduction against the f^p multiples.  A reduced
         image is zero at every pivot column, so only the free columns of
-        the block give rows."""
-        tmonos = [pack(m) for m in monomials_of_degree(n, t)]
+        the block give rows, and of those only the multiples of
+        lead^(p - 1) (module docstring)."""
+        tuples = monomials_of_degree(n, t)
+        tmonos = [pack(m) for m in tuples]
         sub = []
         if t - p * e >= 0:
             fp = derivs.power(p)
@@ -369,20 +415,22 @@ def _condition_rows(f, coords, d, k):
         # denominators, so den is that of all of them.
         den = lcm(*(row[q] for row, q in zip(sred, spiv)))
         pivot_of = {col: i for i, col in enumerate(spiv)}
-        free = [q for q in range(len(tmonos)) if q not in pivot_of]
-        row_of = {q: j for j, q in enumerate(free)}
+        low = [(p - 1) * x for x in lead]
+        kept = [q for q, m in enumerate(tuples)
+                if q not in pivot_of and all(map(le, low, m))]
+        row_of = {q: j for j, q in enumerate(kept)}
         action = {}
         for q, m in enumerate(tmonos):
             i = pivot_of.get(q)
             if i is None:
-                action[m] = [(row_of[q], -den)]
+                action[m] = [(row_of[q], -den)] if q in row_of else []
                 continue
             row = sred[i]
             scale = den // row[q]
             action[m] = [(row_of[pos], row[pos] * scale)
                          for pos in compress(range(len(row)), row)
                          if pos in row_of]
-        return len(free), action
+        return len(kept), action
 
     rows = []
     for gamma, l, t in conds:

@@ -9,8 +9,10 @@ row reductions in the main library, graded minimal generators come
 from a search of Groebner bases instead of one syzygy computation, and the
 condition rows of a graded piece come from the row builder the library
 used before its packed one (Fraction derivatives, one rref per condition),
-reduced Groebner bases come from a textbook Buchberger on Fraction term
-maps that treats every pair (no pair criteria, no packed terms),
+with the rows kept modulo f chosen by f's first monomial in the block's
+column order rather than by the library's ``max(f.terms)``, reduced
+Groebner bases come from a textbook Buchberger on Fraction term maps that
+treats every pair (no pair criteria, no packed terms),
 derivatives d^beta are |beta| successive ``Polynomial.deriv`` calls
 (``iterated_partial``) instead of the library's one-step ``partial``,
 and the operator parser is checked against the one the library used before
@@ -430,16 +432,17 @@ def condition_rows(f: Polynomial, cols, d: int, w: int, k: int):
 
 
 def conjugate_condition_rows(f: Polynomial, cols, d: int, w: int, k: int):
-    """The rows ``vfilt._condition_rows`` stacks for the (d, w) piece of
-    V_k, k >= 0, over the coordinate columns ``cols``: condition
-    (gamma, l) asks E_gamma = sum_{beta >= gamma} C(beta, gamma) a_beta
-    d^(beta - gamma)(f^l) to lie in f^p * O, p = l - k, one row per free
-    target monomial of the f^p block.  Every d^delta(f^l) comes from
-    ``iterated_partial``, C(beta, gamma) from ``math.comb`` and the block
-    rref from ``gauss_rref``.  The term beta = gamma, which the library
-    skips, is kept: it lies in f^p * O and reduces to zero.  The images
-    are scaled by fden^l, fden the lcm of f's denominators, and by the lcm
-    of the block's denominators, so they are integer."""
+    """Every condition row of the (d, w) piece of V_k, k >= 0, over the
+    coordinate columns ``cols``, as one (l, target monomial, row) triple
+    per nonzero row: condition (gamma, l) asks E_gamma = sum_{beta >=
+    gamma} C(beta, gamma) a_beta d^(beta - gamma)(f^l) to lie in f^p * O,
+    p = l - k, one row per free target monomial of the f^p block.  Every
+    d^delta(f^l) comes from ``iterated_partial``, C(beta, gamma) from
+    ``math.comb`` and the block rref from ``gauss_rref``.  The term
+    beta = gamma, which the library skips, is kept: it lies in f^p * O and
+    reduces to zero.  The images are scaled by fden^l, fden the lcm of f's
+    denominators, and by the lcm of the block's denominators, so they are
+    integer."""
     n = f.nvars
     e = f.degree()
     fden = lcm(*(c.denominator for c in f.terms.values()))
@@ -491,8 +494,22 @@ def conjugate_condition_rows(f: Polynomial, cols, d: int, w: int, k: int):
                                 for pos, s in reducers[i]:
                                     res[pos] -= c * s
                     residuals.append(res)
-                rows.extend(row[::-1] for row in zip(*residuals) if any(row))
+                rows.extend((l, m, row[::-1])
+                            for m, row in zip(tmonos, zip(*residuals))
+                            if any(row))
     return rows
+
+
+def rows_modulo_f(f: Polynomial, table, k: int):
+    """The rows of a ``conjugate_condition_rows`` table that state each
+    condition modulo f: at p = l - k >= 2 only those at target monomials
+    that L^(p-1) divides, L the pivot of f's own row, i.e. its first
+    monomial in the order ``monomials_of_degree`` lists a block's columns.
+    Every row of p = 1 stays."""
+    lead = next(m for m in monomials_of_degree(f.nvars, f.degree())
+                if m in f.terms)
+    return [row for l, m, row in table
+            if all(x >= (l - k - 1) * y for x, y in zip(m, lead))]
 
 
 # ---------------------------------------------------------------------------

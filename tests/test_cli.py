@@ -418,6 +418,19 @@ def test_v0_member_of_large_order_answers():
     assert json.loads(run.stdout)["member"] is False
 
 
+def test_v0_member_of_huge_order_answers():
+    # E_gamma vanishes at |gamma| < |beta| - l*deg f, so the scan of f = x
+    # starts at gamma = 10^9 - 1 of level 1 instead of 10^9 pairs before it
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run(
+        [sys.executable, "-m", "logdiv.cli", "v0-member", "-f", "x", "-P",
+         "dx^1000000000", "--json"],
+        capture_output=True, text=True, env=env, timeout=20)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["member"] is False
+
+
 def test_vk_basis_far_below_zero_is_empty_and_fast():
     start = time.perf_counter()
     data = invoke_json(["vk-basis", "-f", "x+y", "-k", "-100000", "-d", "0",

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from logdiv.vfilt import (NonHomogeneousError, _conditions, compare_v0,
 from logdiv.weyl import WeylOperator, apply_op, compose
 
 from oracles import (affine_map, affine_transform, brute_v0_dimension,
-                     divmod_single, rand_poly, subs)
+                     divmod_single, iterated_partial, rand_poly, subs)
 
 
 def P(s, n):
@@ -233,6 +234,41 @@ def test_v_member_matches_fraction_oracle():
     assert apply_op(OP("dx^3", 2), NC2).is_zero()
     # (x + x^2)^3 * O_0 = (x^3): f^3 has degree 6, the image x^3 degree 3
     assert v_member(P("x+x^2", 2), OP("x^3", 2), -3)
+
+
+def test_conditions_left_out_have_zero_images():
+    """The (gamma, l) that ``_conditions`` leaves out for least = min |beta|
+    and fdeg = deg f have E_gamma = sum_{beta >= gamma} C(beta, gamma)
+    a_beta d^(beta - gamma)(f^l) = 0, by the oracle's derivatives; the
+    default bound leaves nothing out."""
+    rng = random.Random(34)
+    left_out = 0
+    for f in (NC2, P("x*y*(x+y)", 2), P("y^2-x^2+x^3", 2), P("x+x^2", 2)):
+        e = f.degree()
+        for tail in ("dx^3", "dx^2*dy^2", "dy^4", "dx*dy^3"):
+            op = compose(_random_operator(rng, 2, 1), OP(tail, 2))
+            if op.is_zero():
+                continue
+            order, least = op.order(), min(map(sum, op.terms))
+            for k in (-1, 0, 1):
+                every = list(_conditions(2, order, k))
+                assert list(_conditions(2, order, k, 0, e)) == every
+                kept = set(_conditions(2, order, k, least, e))
+                for gamma, l in every:
+                    if (gamma, l) in kept:
+                        continue
+                    left_out += 1
+                    image = Polynomial.zero(2)
+                    for beta, a in op.terms.items():
+                        delta = tuple(b - g for b, g in zip(beta, gamma))
+                        if min(delta) >= 0:
+                            binom = 1
+                            for b, g in zip(beta, gamma):
+                                binom *= math.comb(b, g)
+                            image = image + a * binom * iterated_partial(
+                                f ** l, delta)
+                    assert image.is_zero(), (f, op, gamma, l)
+    assert left_out > 0
 
 
 def test_v_member_matches_alpha_oracle_up_to_order_three(monkeypatch):

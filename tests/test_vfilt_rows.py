@@ -3,11 +3,14 @@ conjugate form, the work it takes to build them, and pieces of a divisor
 with non-integer coefficients.
 
 The library states the conditions on E_gamma = sum C(beta, gamma) a_beta
-d^(beta - gamma)(f^l) instead of on P(x^alpha f^l).  Its rows equal those
-of the frozen builder ``oracles.conjugate_condition_rows``, and their
-Fraction kernel equals that of the rows of the builder they replaced
-(``oracles.condition_rows``, the alpha form), so the kernel, rref and
-output are unchanged.
+d^(beta - gamma)(f^l) instead of on P(x^alpha f^l), and above p = l - k = 1
+only modulo f: at the target monomials that L^(p-1) divides, L the
+lex-leading monomial of f.  Its rows equal those of the frozen builder
+``oracles.conjugate_condition_rows`` kept by ``oracles.rows_modulo_f``.
+Their Fraction rref equals that of all the frozen builder's rows and that
+of the rows of the builder they replaced (``oracles.condition_rows``, the
+alpha form), and each level adds the rank its full rows add, so the
+kernel, rref and output are unchanged.
 """
 
 import random
@@ -19,10 +22,12 @@ from logdiv import linalg, vfilt
 from logdiv.arrangements import example9_objects
 from logdiv.grammar import parse_polynomial
 from logdiv.poly import Polynomial
-from logdiv.vfilt import default_weight_range, vk_graded_basis
+from logdiv.vfilt import (OperatorCoordinates, default_weight_range,
+                          vk_graded_basis)
 
 from oracles import (BRUTE_MAX_COLS, brute_v0_dimension, condition_rows,
-                     conjugate_condition_rows, gauss_rref)
+                     conjugate_condition_rows, gauss_rank, gauss_rref,
+                     rows_modulo_f)
 
 
 def _four_lines(seed):
@@ -69,15 +74,56 @@ def test_stacked_rows_equal_frozen_builder(monkeypatch, f, k, d, w):
     seen = _spy_kernel(monkeypatch)
     space = vk_graded_basis(f, k, d, w)
     cols = space.coords.cols
-    rows = conjugate_condition_rows(f, cols, d, w, k)
+    table = conjugate_condition_rows(f, cols, d, w, k)
+    rows = rows_modulo_f(f, table, k)
     assert seen == [rows]
-    # the conjugate conditions cut out the kernel of the alpha-form ones:
-    # equal Fraction rrefs, so equal row spaces and kernels.  Above
-    # BRUTE_MAX_COLS columns the two rrefs take tens of seconds, and the
-    # pinned output digests cover those pieces
+    # the rows kept modulo f cut out the kernel of all the conjugate rows,
+    # which cut out that of the alpha-form ones: equal Fraction rrefs, so
+    # equal row spaces and kernels.  Above BRUTE_MAX_COLS columns the
+    # rrefs take tens of seconds, and the pinned output digests cover those
+    # pieces
     if len(cols) <= BRUTE_MAX_COLS:
-        assert gauss_rref(rows, len(cols)) == \
-            gauss_rref(condition_rows(f, cols, d, w, k), len(cols))
+        rref = gauss_rref(rows, len(cols))
+        assert rref == gauss_rref([row for _, _, row in table], len(cols))
+        assert rref == gauss_rref(condition_rows(f, cols, d, w, k), len(cols))
+
+
+def _seeded_level_cases():
+    """Pieces with a level l >= k + 2: the half node (Fraction
+    coefficients), seeded four-line curves and a seeded cubic surface
+    x^3 + y^3 + z^3 + c*x*y*z, at seeded weights."""
+    rng = random.Random(34)
+    x, y, z = (Polynomial.variable(3, i) for i in range(3))
+    cubic = x ** 3 + y ** 3 + z ** 3 + x * y * z * rng.choice([-3, -1, 2, 5])
+    cases = [("half", _half_node(), k, d, w) for k, d in ((0, 2), (0, 3),
+                                                        (1, 3), (0, 4))
+             for w in rng.sample(range(-1, 5), 2)]
+    cases += [(f"lines{s}", _four_lines(s), k, 3, rng.randrange(-1, 4))
+              for s in (1, 2, 3) for k in (0, 1)]
+    cases += [("cubic", cubic, 0, 2, w) for w in (0, 1)]
+    return [pytest.param(f, k, d, w, id=f"{name}-k{k}-d{d}-w{w}")
+            for name, f, k, d, w in cases]
+
+
+@pytest.mark.parametrize("f, k, d, w", _seeded_level_cases())
+def test_rows_modulo_f_add_the_rank_of_the_full_level(monkeypatch, f, k, d, w):
+    """Under the lower levels, level l's rows kept modulo f add the rank
+    all its rows add, for every l >= k + 2.  Which rows are kept is pinned
+    by the row equality above: the lead of f in another term order (its
+    lex-smallest term, say) keeps more rows and the same rank."""
+    coords = OperatorCoordinates(f.nvars, d, w)
+    table = conjugate_condition_rows(f, coords.cols, d, w, k)
+    real = vfilt._conditions
+    for level in range(k + 2, d + 1):
+        below = [row for l, _, row in table if l < level]
+        full = [row for l, _, row in table if l == level]
+        with monkeypatch.context() as m:
+            m.setattr(vfilt, "_conditions", lambda *args: (
+                c for c in real(*args) if c[1] == level))
+            kept = vfilt._condition_rows(f, coords, d, k)
+        assert set(kept) <= set(full), level
+        assert gauss_rank(below + kept, len(coords)) == \
+            gauss_rank(below + full, len(coords)), level
 
 
 def _count_work(monkeypatch):
